@@ -1,18 +1,9 @@
-"""Benchmark: compiled uniformisation kernels and the fused Kronecker apply.
+"""Benchmark: the fused Kronecker apply and the disabled contract hooks.
 
-Two acceptance gates for the kernel layer introduced with
-:mod:`repro.markov.kernels`:
+Two acceptance gates for the uniformisation kernel layer
+(:mod:`repro.markov.kernels`):
 
-1. **Compiled segment kernel.**  On a >= 50k-state assembled chain the
-   numba-jitted propagate-and-accumulate kernel must beat the scipy
-   reference path by :data:`REQUIRED_COMPILED_SPEEDUP` x end-to-end, with
-   CDF agreement to :data:`TOLERANCE`.  On runners without numba the gate
-   degrades to *skip-with-measurement*: the scipy baseline is still timed
-   and recorded (with ``numba_available: false`` and a ``null`` speedup),
-   the resolution of ``kernel="auto"`` to the scipy fallback is asserted,
-   and the test skips -- so the committed record always reflects what the
-   runner could actually measure.
-2. **Fused Kronecker apply.**  On the PR-5 4-battery matrix-free scenario
+1. **Fused Kronecker apply.**  On the PR-5 4-battery matrix-free scenario
    (the ~1.06M-state bank of ``bench_matrixfree``) the fused uniformised
    apply -- folded diagonal, combined scale groups, shared scale prefixes
    and in-place final contraction -- must beat the pre-fusion operator
@@ -27,7 +18,7 @@ Two acceptance gates for the kernel layer introduced with
    fused one through the production :class:`TransientPropagator`, the
    reference one through an algorithm-identical segment driver -- and must
    agree to :data:`TOLERANCE`.
-3. **Disabled contract hooks.**  With ``REPRO_CHECKS=off`` the structural
+2. **Disabled contract hooks.**  With ``REPRO_CHECKS=off`` the structural
    validators of :mod:`repro.markov.validate` must cost less than
    :data:`REQUIRED_CHECKS_OFF_OVERHEAD` of the 52k-state solve -- the
    promise made by the :mod:`repro.checking.contracts` docstring.  The
@@ -40,7 +31,6 @@ Results land in ``BENCH_kernels.json`` (stamped with commit SHA +
 timestamp) and are diffed against the committed baseline in CI.
 """
 
-import json
 import time
 from pathlib import Path
 
@@ -52,7 +42,7 @@ from repro.battery.parameters import KiBaMParameters
 from repro.checking import checks_mode
 from repro.core.discretization import discretize
 from repro.core.kibamrm import KiBaMRM
-from repro.experiments.records import write_bench_record
+from repro.experiments.records import merge_record_section
 from repro.markov import kernels
 from repro.markov import validate as markov_validate
 from repro.markov.poisson import cached_poisson_weights, truncation_points
@@ -60,10 +50,6 @@ from repro.markov.uniformization import TransientPropagator
 from repro.markov.validate import check_chain, check_generator
 from repro.multibattery import MultiBatterySystem
 from repro.workload.base import WorkloadModel
-
-#: Required end-to-end advantage of the compiled segment kernel over the
-#: scipy reference path (gated only where numba is installed).
-REQUIRED_COMPILED_SPEEDUP = 2.0
 
 #: Required per-product advantage of the fused uniformised apply over the
 #: frozen pre-fusion operator algorithm.
@@ -81,25 +67,18 @@ RECORD_PATH = Path(__file__).resolve().parent.parent / "BENCH_kernels.json"
 
 def _merge_record_section(section: str, payload: dict) -> None:
     """Write *payload* under *section*, preserving the other sections."""
-    record: dict = {"benchmark": "uniformization_kernels"}
-    if RECORD_PATH.exists():
-        try:
-            record = json.loads(RECORD_PATH.read_text())
-        except json.JSONDecodeError:
-            pass
-    record[section] = payload
-    write_bench_record(RECORD_PATH, record)
+    merge_record_section(RECORD_PATH, section, payload, benchmark="uniformization_kernels")
 
 
 # ----------------------------------------------------------------------
-# Gate 1: compiled segment kernel on an assembled >= 50k-state chain.
+# The assembled 52k-state chain of ``bench_uniformization``.
 # ----------------------------------------------------------------------
 
 def _assembled_scenario():
     """The 52k-state single-battery chain of ``bench_uniformization``.
 
-    The horizon is trimmed to a modest post-depletion tail: the kernel gate
-    times the product loop itself, not the steady-state collapse that
+    The horizon is trimmed to a modest post-depletion tail: the gate times
+    the product loop itself, not the steady-state collapse that
     ``bench_uniformization`` exercises.
     """
     workload = WorkloadModel(
@@ -115,99 +94,20 @@ def _assembled_scenario():
     return chain, times
 
 
-def _solve_chain(chain, times: np.ndarray, *, kernel: str):
+def _solve_chain(chain, times: np.ndarray):
     projection = np.zeros(chain.n_states)
     projection[chain.empty_states] = 1.0
-    propagator = TransientPropagator(chain.generator, validate=False, kernel=kernel)
-    solved = propagator.transient_batch(
+    propagator = TransientPropagator(chain.generator, validate=False)
+    return propagator.transient_batch(
         chain.initial_distribution[None, :],
         times,
         epsilon=EPSILON,
         projection=projection,
     )
-    return solved, propagator.kernel
-
-
-def test_compiled_kernel_speedup(benchmark):
-    """Gate 1: compiled vs scipy on the assembled chain (skip w/o numba)."""
-    chain, times = _assembled_scenario()
-    assert chain.n_states >= 50_000, "the gate is about large chains"
-    available = kernels.numba_available()
-
-    started = time.perf_counter()
-    scipy_solved, scipy_kernel = _solve_chain(chain, times, kernel="scipy")
-    scipy_seconds = time.perf_counter() - started
-    assert scipy_kernel == "scipy"
-    scipy_cdf = np.asarray(scipy_solved.values[0], dtype=float)
-    assert scipy_cdf[-1] >= 1.0 - 1e-3, "the grid must cover depletion"
-
-    payload = {
-        "benchmark": "compiled_vs_scipy_segment_kernel",
-        "scenario": {
-            "n_states": int(chain.n_states),
-            "n_nonzero": int(chain.n_nonzero),
-            "delta_as": float(chain.grid.delta),
-            "n_times": int(times.size),
-            "t_max_seconds": float(times[-1]),
-            "epsilon": EPSILON,
-        },
-        "results": {
-            "numba_available": available,
-            "scipy_solve_seconds": scipy_seconds,
-            "scipy_iterations": int(scipy_solved.iterations),
-            "compiled_solve_seconds": None,
-            "compiled_vs_scipy_speedup": None,
-            "required_compiled_speedup": REQUIRED_COMPILED_SPEEDUP,
-            "max_abs_cdf_diff": None,
-            "tolerance": TOLERANCE,
-        },
-    }
-
-    if not available:
-        # Skip-with-measurement: the record keeps the scipy baseline and
-        # documents that this runner resolves "auto" to the fallback.
-        _, auto_kernel = _solve_chain(chain, times, kernel="auto")
-        assert auto_kernel == "scipy"
-        _merge_record_section("compiled_kernel", payload)
-        print(
-            f"\n{chain.n_states}-state chain: scipy kernel solved "
-            f"{scipy_solved.iterations} products in {scipy_seconds:.2f} s; "
-            "numba unavailable, compiled gate skipped (baseline recorded)"
-        )
-        pytest.skip("numba is not installed: recorded the scipy baseline only")
-
-    # Warm the JIT outside the timed region, then time the compiled solve.
-    _solve_chain(chain, times[:3], kernel="compiled")
-    started = time.perf_counter()
-    compiled_solved, compiled_kernel = benchmark.pedantic(
-        lambda: _solve_chain(chain, times, kernel="compiled"),
-        rounds=1,
-        iterations=1,
-        warmup_rounds=0,
-    )
-    compiled_seconds = time.perf_counter() - started
-    assert compiled_kernel == "compiled"
-    compiled_cdf = np.asarray(compiled_solved.values[0], dtype=float)
-    max_diff = float(np.max(np.abs(compiled_cdf - scipy_cdf)))
-    speedup = scipy_seconds / compiled_seconds
-
-    payload["results"].update(
-        compiled_solve_seconds=compiled_seconds,
-        compiled_vs_scipy_speedup=speedup,
-        max_abs_cdf_diff=max_diff,
-    )
-    _merge_record_section("compiled_kernel", payload)
-    print(
-        f"\n{chain.n_states}-state chain: scipy {scipy_seconds:.2f} s, "
-        f"compiled {compiled_seconds:.2f} s ({speedup:.1f}x), "
-        f"max |dCDF| {max_diff:.2e}"
-    )
-    assert max_diff <= TOLERANCE
-    assert speedup >= REQUIRED_COMPILED_SPEEDUP
 
 
 # ----------------------------------------------------------------------
-# Gate 2: fused Kronecker apply on the PR-5 4-battery bank.
+# Gate 1: fused Kronecker apply on the PR-5 4-battery bank.
 # ----------------------------------------------------------------------
 
 #: Dense conversion threshold of the frozen reference (as in the original).
@@ -344,7 +244,7 @@ def _best_apply_seconds(apply_pairs, state, *, rounds: int = 5, reps: int = 4):
 
 
 def test_fused_kronecker_apply_speedup(benchmark):
-    """Gate 2: fused apply vs the frozen pre-fusion algorithm, 4-battery bank."""
+    """Gate 1: fused apply vs the frozen pre-fusion algorithm, 4-battery bank."""
     battery = KiBaMParameters(capacity=150.0, c=1.0, k=0.0)
     system = MultiBatterySystem(
         workload=WorkloadModel(
@@ -450,7 +350,7 @@ def test_fused_kronecker_apply_speedup(benchmark):
 
 
 # ----------------------------------------------------------------------
-# Gate 3: disabled REPRO_CHECKS hooks on the assembled 52k-state solve.
+# Gate 2: disabled REPRO_CHECKS hooks on the assembled 52k-state solve.
 # ----------------------------------------------------------------------
 
 #: Maximal fraction of the 52k-state solve the disabled contract hooks may
@@ -463,7 +363,7 @@ _GUARD_TIMING_REPS = 20_000
 
 
 def test_checks_off_overhead(benchmark, monkeypatch):
-    """Gate 3: ``REPRO_CHECKS=off`` must cost < 1% of the 52k-state solve."""
+    """Gate 2: ``REPRO_CHECKS=off`` must cost < 1% of the 52k-state solve."""
     # Take the environment path -- the library default -- not the cheaper
     # in-process override, so the measured guard includes the env lookup.
     monkeypatch.setenv("REPRO_CHECKS", "off")
@@ -473,8 +373,8 @@ def test_checks_off_overhead(benchmark, monkeypatch):
     assert chain.n_states >= 50_000, "the gate is about large chains"
 
     started = time.perf_counter()
-    solved, kernel_name = benchmark.pedantic(
-        lambda: _solve_chain(chain, times, kernel="auto"),
+    solved = benchmark.pedantic(
+        lambda: _solve_chain(chain, times),
         rounds=1,
         iterations=1,
         warmup_rounds=0,
@@ -510,7 +410,6 @@ def test_checks_off_overhead(benchmark, monkeypatch):
             "n_states": int(chain.n_states),
             "n_times": int(times.size),
             "epsilon": EPSILON,
-            "kernel": kernel_name,
             "guarded_entries_per_solve": guarded_entries_per_solve,
             "guard_timing_reps": _GUARD_TIMING_REPS,
         },
@@ -524,7 +423,7 @@ def test_checks_off_overhead(benchmark, monkeypatch):
     })
     print(
         f"\n{chain.n_states}-state chain under REPRO_CHECKS=off: solve "
-        f"{solve_seconds:.2f} s ({kernel_name} kernel), disabled guard "
+        f"{solve_seconds:.2f} s, disabled guard "
         f"{per_entry_seconds * 1e6:.2f} us/entry x {guarded_entries_per_solve} "
         f"entries = {overhead * 100.0:.5f}% overhead"
     )

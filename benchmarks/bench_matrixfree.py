@@ -26,7 +26,6 @@ per-iteration trade-off stays visible across builds.  Results land in
 diffed against the committed baseline in CI.
 """
 
-import json
 import time
 from pathlib import Path
 
@@ -34,7 +33,7 @@ import numpy as np
 import pytest
 
 from repro.battery.parameters import KiBaMParameters
-from repro.experiments.records import write_bench_record
+from repro.experiments.records import merge_record_section
 from repro.markov.kronecker import assembled_csr_bytes
 from repro.markov.uniformization import TransientPropagator
 from repro.multibattery import MultiBatterySystem
@@ -60,21 +59,8 @@ RECORD_PATH = Path(__file__).resolve().parent.parent / "BENCH_matrixfree.json"
 
 
 def _merge_record_section(section: str, payload: dict) -> None:
-    """Write *payload* under *section*, preserving the other sections.
-
-    Each gate writes its own section as it completes, so a partial run
-    (``-k``, test selection, xdist ordering) never emits a record that
-    silently dropped the other gate's metrics -- the committed values
-    survive until that gate actually re-runs.
-    """
-    record: dict = {"benchmark": "matrixfree_product_chains"}
-    if RECORD_PATH.exists():
-        try:
-            record = json.loads(RECORD_PATH.read_text())
-        except json.JSONDecodeError:
-            pass
-    record[section] = payload
-    write_bench_record(RECORD_PATH, record)
+    """Write *payload* under *section*, preserving the other sections."""
+    merge_record_section(RECORD_PATH, section, payload, benchmark="matrixfree_product_chains")
 
 
 def _workload() -> WorkloadModel:

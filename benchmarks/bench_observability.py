@@ -31,7 +31,6 @@ Results land in ``BENCH_observability.json`` (stamped with commit SHA +
 timestamp) and are diffed against the committed baseline in CI.
 """
 
-import json
 import time
 from pathlib import Path
 
@@ -50,7 +49,7 @@ from repro.engine import (
     run_sweep,
     solve_lifetime,
 )
-from repro.experiments.records import write_bench_record
+from repro.experiments.records import merge_record_section
 from repro.workload.base import WorkloadModel
 from tools.repro_trace import phase_breakdown, load_spans, sweep_timeline
 
@@ -71,14 +70,7 @@ RECORD_PATH = Path(__file__).resolve().parent.parent / "BENCH_observability.json
 
 def _merge_record_section(section: str, payload: dict) -> None:
     """Write *payload* under *section*, preserving the other sections."""
-    record: dict = {"benchmark": "observability"}
-    if RECORD_PATH.exists():
-        try:
-            record = json.loads(RECORD_PATH.read_text())
-        except json.JSONDecodeError:
-            pass
-    record[section] = payload
-    write_bench_record(RECORD_PATH, record)
+    merge_record_section(RECORD_PATH, section, payload, benchmark="observability")
 
 
 # ----------------------------------------------------------------------

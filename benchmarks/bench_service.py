@@ -18,7 +18,6 @@ timestamp); the ``repeat_query_speedup`` metric is diffed against the
 committed baseline in CI like the other bench records.
 """
 
-import json
 import statistics
 import threading
 import time
@@ -29,7 +28,7 @@ import pytest
 
 from repro import obs
 from repro.api import KiBaMParameters, LifetimeProblem, LifetimeQuery, WorkloadModel, serve
-from repro.experiments.records import write_bench_record
+from repro.experiments.records import merge_record_section
 
 #: Minimal cold-solve / repeat-query-p50 ratio on the 52k-state chain.
 REQUIRED_REPEAT_SPEEDUP = 20.0
@@ -60,14 +59,7 @@ RECORD_PATH = Path(__file__).resolve().parent.parent / "BENCH_service.json"
 
 def _merge_record_section(section: str, payload: dict) -> None:
     """Write *payload* under *section*, preserving the other sections."""
-    record: dict = {"benchmark": "service"}
-    if RECORD_PATH.exists():
-        try:
-            record = json.loads(RECORD_PATH.read_text())
-        except json.JSONDecodeError:
-            pass
-    record[section] = payload
-    write_bench_record(RECORD_PATH, record)
+    merge_record_section(RECORD_PATH, section, payload, benchmark="service")
 
 
 def _workload() -> WorkloadModel:

@@ -34,7 +34,6 @@ Results land in ``BENCH_sweep_resilience.json`` (stamped with commit SHA
 """
 
 import importlib.util
-import json
 import os
 import signal
 import subprocess
@@ -55,6 +54,7 @@ from repro.engine import (
     run_sweep,
 )
 from repro.engine.sweep import _partition
+from repro.experiments.records import merge_record_section
 
 #: Scenarios in the clean-overhead sweep.
 N_CLEAN_SCENARIOS = 200
@@ -80,16 +80,7 @@ CHILD_PATH = Path(__file__).resolve().parent / "sweep_resilience_child.py"
 
 def _merge_record_section(section: str, payload: dict) -> None:
     """Write *payload* under *section*, preserving the other sections."""
-    from repro.experiments.records import write_bench_record
-
-    record: dict = {"benchmark": "sweep_resilience"}
-    if RECORD_PATH.exists():
-        try:
-            record = json.loads(RECORD_PATH.read_text())
-        except json.JSONDecodeError:
-            pass
-    record[section] = payload
-    write_bench_record(RECORD_PATH, record)
+    merge_record_section(RECORD_PATH, section, payload, benchmark="sweep_resilience")
 
 
 def _child_module():

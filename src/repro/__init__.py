@@ -87,16 +87,6 @@ Sub-packages
 ``repro.experiments``
     Reproduction drivers for every table and figure of the paper; all of
     them route through :mod:`repro.engine`.
-
-Deprecated wiring
------------------
-Before the engine existed, callers wired the layers by hand
-(:class:`repro.core.LifetimeSolver` + :func:`compute_lifetime_distribution`
-for the approximation, :func:`simulate_lifetime_distribution` for
-Monte-Carlo, :func:`repro.reward.occupation.two_level_lifetime_cdf` for the
-exact curves).  Those APIs remain available for backwards compatibility,
-but new code -- and all experiments, examples and benchmarks in this
-repository -- should go through :mod:`repro.engine` instead.
 """
 
 from repro.analysis import LifetimeDistribution
@@ -111,12 +101,7 @@ from repro.battery import (
     SquareWaveLoad,
     rao_battery_parameters,
 )
-from repro.core import (
-    KiBaMRM,
-    LifetimeSolver,
-    compute_lifetime_distribution,
-    lifetime_distribution,
-)
+from repro.core import KiBaMRM
 from repro.engine import (
     LifetimeProblem,
     LifetimeResult,
@@ -154,7 +139,6 @@ __all__ = [
     "LifetimeQuery",
     "LifetimeResult",
     "LifetimeService",
-    "LifetimeSolver",
     "ModifiedKineticBatteryModel",
     "PeukertBattery",
     "PiecewiseConstantLoad",
@@ -166,10 +150,8 @@ __all__ = [
     "WorkloadBuilder",
     "WorkloadModel",
     "burst_workload",
-    "compute_lifetime_distribution",
     "duty_cycle_workload",
     "get_workload",
-    "lifetime_distribution",
     "mmpp_workload",
     "onoff_workload",
     "random_workload",

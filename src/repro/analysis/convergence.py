@@ -70,8 +70,8 @@ def delta_convergence_study(
     ----------
     solver:
         Callable mapping a step size ``delta`` to a lifetime distribution
-        (typically a closure around
-        :func:`repro.core.lifetime.lifetime_distribution`).
+        (typically a closure returning the ``distribution`` of
+        :func:`repro.api.solve` on ``problem.with_delta(delta)``).
     deltas:
         Step sizes to evaluate (any order; typically decreasing).
     reference:

@@ -1,8 +1,8 @@
 """Machine-checked correctness contracts for the reproduction.
 
 The library keeps three interchangeable chain representations (assembled
-CSR, matrix-free Kronecker operator, lumped symmetry quotient) and three
-interchangeable kernels numerically equivalent.  The invariants behind
+CSR, matrix-free Kronecker operator, lumped symmetry quotient)
+numerically equivalent.  The invariants behind
 that equivalence -- zero row sums, non-negative off-diagonals,
 uniformisation-rate dominance, no silent dense escape, registered
 fingerprint fields, schema'd diagnostics keys -- used to live in scattered
@@ -19,8 +19,8 @@ runtime asserts.  This package makes them first-class artifacts:
   :class:`~repro.engine.sweep.SweepSpec` subtypes must appear in, as
   either fingerprint-relevant or fingerprint-exempt (lint rule RPR003).
 * :mod:`repro.checking.protocols` -- structural :class:`typing.Protocol`
-  definitions of the plug points (generator operators, uniformisation
-  kernels, scheduler policies, discretised chains) so alternative
+  definitions of the plug points (generator operators, scheduler
+  policies, discretised chains) so alternative
   implementations are checked by shape, not by inheritance.
 
 The matching static passes live in ``tools/repro_lint.py`` (run as
@@ -53,7 +53,6 @@ from repro.checking.protocols import (
     IntArray,
     SchedulerPolicy,
     SweepExecutor,
-    UniformizationKernel,
 )
 
 __all__ = [
@@ -71,7 +70,6 @@ __all__ = [
     "IntArray",
     "SchedulerPolicy",
     "SweepExecutor",
-    "UniformizationKernel",
     "audit_fingerprint_registry",
     "checks_mode",
     "dense_fallback",

@@ -1,11 +1,9 @@
 """Structural protocols for the library's plug points.
 
-Three extension seams keep the solver pipeline swappable -- the chain
+Two extension seams keep the solver pipeline swappable -- the chain
 representation (assembled CSR / :class:`~repro.markov.kronecker.KroneckerGenerator`
-/ lumped quotient), the uniformisation kernel
-(:class:`~repro.markov.kernels.ScipyKernel` /
-:class:`~repro.markov.kernels.CompiledKernel`) and the scheduler policy
-registry of :mod:`repro.multibattery.policies`.  None of them requires a
+/ lumped quotient) and the scheduler policy registry of
+:mod:`repro.multibattery.policies`.  None of them requires a
 common base class; what matters is the *shape* of the objects.  These
 :class:`typing.Protocol` definitions write that shape down so mypy checks
 implementations structurally and the test suite can assert conformance at
@@ -23,11 +21,9 @@ import numpy as np
 import numpy.typing as npt
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from collections.abc import Callable, Mapping
+    from collections.abc import Mapping
 
     import scipy.sparse as sp
-
-    from repro.markov.kernels import SegmentResult
 
 __all__ = [
     "DiscretizedChain",
@@ -38,7 +34,6 @@ __all__ = [
     "SchedulerPolicy",
     "SweepExecutor",
     "TraceSink",
-    "UniformizationKernel",
 ]
 
 #: Dense float64 array -- the working dtype of every propagation path.
@@ -91,34 +86,6 @@ class GeneratorOperator(Protocol):
 
     def __rmatmul__(self, other: FloatArray) -> FloatArray:
         """Evaluate ``other @ Q`` without assembling ``Q``."""
-        ...
-
-
-@runtime_checkable
-class UniformizationKernel(Protocol):
-    """One implementation of the uniformisation inner loop.
-
-    The propagator only ever calls ``spmm`` (one ``v @ P`` product) and
-    ``run_segment`` (one fused Poisson-window pass); ``name`` is the
-    resolved implementation reported in solver diagnostics.
-    """
-
-    name: str
-
-    def spmm(self, block: FloatArray) -> FloatArray:
-        """One ``block @ P`` product."""
-        ...
-
-    def run_segment(
-        self,
-        v: FloatArray,
-        weights: FloatArray,
-        left: int,
-        right: int,
-        tol: float,
-        progress: "Callable[[int], None] | None" = None,
-    ) -> "SegmentResult":
-        """Run one Poisson-window segment."""
         ...
 
 

@@ -78,15 +78,13 @@ def chain_merge_key(problem: LifetimeProblem) -> tuple[Any, ...]:
         # The resolved product-chain backend joins the key: scenarios pinned
         # to different backends build different chain objects and must not
         # share one blocked solve (their results agree, their workspaces
-        # do not).  The kernel joins every variant for the same reason --
-        # one blocked pass runs one kernel.
+        # do not).
         return (
             "identical",
             problem.chain_key(),
             problem.resolved_backend(),
             float(problem.epsilon),
             problem.transient_mode,
-            problem.kernel,
         )
     if problem.has_transfer:
         return (
@@ -94,7 +92,6 @@ def chain_merge_key(problem: LifetimeProblem) -> tuple[Any, ...]:
             problem.chain_key(),
             float(problem.epsilon),
             problem.transient_mode,
-            problem.kernel,
         )
     return (
         "stacked",
@@ -104,7 +101,6 @@ def chain_merge_key(problem: LifetimeProblem) -> tuple[Any, ...]:
         float(problem.effective_delta),
         float(problem.epsilon),
         problem.transient_mode,
-        problem.kernel,
     )
 
 
@@ -283,13 +279,7 @@ class ScenarioBatch:
         delta = anchor.effective_delta
         backend, key = _backend_and_key(anchor, delta)
         chain = ws.discretized(anchor.model(), delta, key, backend=backend)
-        # The kernel joins the merge key, so the group is kernel-homogeneous;
-        # fold it into the propagator cache key (it is not part of the chain
-        # build key -- the chain itself is kernel-independent).
-        kernel = group[0].kernel
-        propagator = ws.propagator(
-            chain, key + (("kernel", kernel),), kernel=kernel
-        )
+        propagator = ws.propagator(chain, key)
 
         # Scenarios with the same battery reduce to the same initial vector
         # (they differ only in time grid / label); deduplicate the rows so
@@ -308,9 +298,7 @@ class ScenarioBatch:
             row_of.append(row)
 
         merged_times = np.unique(np.concatenate([problem.times for problem in group]))
-        with obs.span(
-            "batch_solve", size=len(group), rows=len(stack), kernel=kernel
-        ):
+        with obs.span("batch_solve", size=len(group), rows=len(stack)):
             transient = propagator.transient_batch(
                 np.stack(stack),
                 merged_times,
@@ -322,7 +310,6 @@ class ScenarioBatch:
         # is backend-independent), not on the workspace build key.
         ws.note_steady_state(anchor.chain_key(), transient.steady_state_time)
         elapsed = time.perf_counter() - started
-        obs.count("kernel_selected." + transient.kernel)
         if transient.steady_state_time is not None:
             obs.count("steady_state_detections")
         obs.observe("solve_seconds.mrm_batch", elapsed)

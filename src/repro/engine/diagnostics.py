@@ -57,7 +57,6 @@ DIAGNOSTICS_SCHEMA = {
     "backend": "chain backend that solved (assembled/matrix-free/lumped)",
     # -- transient fast-path telemetry (transient_diagnostics) ----------
     "transient_mode": "incremental or single-pass propagation",
-    "kernel": "resolved uniformisation kernel (scipy/compiled)",
     "n_segments": "Poisson-window segments of the incremental chain",
     "iterations_saved": "products avoided by steady-state detection",
     "steady_state_time": "detected steady-state time (None if not reached)",

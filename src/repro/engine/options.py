@@ -1,22 +1,17 @@
 """The :class:`RunOptions` execution configuration of sweeps and the service.
 
-:func:`~repro.engine.sweep.run_sweep` historically grew one keyword
-argument per execution concern -- worker count, cache object, cache
-directory, retry policy, failure mode, executor backend, progress callback
--- and the lifetime-query service (:mod:`repro.service`) needs exactly the
-same knobs.  :class:`RunOptions` consolidates them into one frozen config
-object that both entry points share: build it once, pass it everywhere.
+:func:`~repro.engine.sweep.run_sweep` and the lifetime-query service
+(:mod:`repro.service`) share one set of execution concerns -- worker
+count, cache object, cache directory, retry policy, failure mode, executor
+backend, progress callback.  :class:`RunOptions` holds them in one frozen
+config object that both entry points take: build it once, pass it
+everywhere.
 
 None of these knobs can change a solved curve, so none of them feeds the
 scenario fingerprints (the same guarantee the
 :data:`repro.checking.fingerprints.EXECUTION_POLICY_EXEMPT` audit makes for
-the :class:`~repro.engine.executor.ExecutionPolicy` carried inside).
+the :class:`~repro.engine.executor.ExecutionPolicy` carried inside)::
 
-The legacy per-kwarg spelling of :func:`~repro.engine.sweep.run_sweep`
-keeps working through a deprecation shim; migrate with the one-liner the
-:class:`DeprecationWarning` prints::
-
-    run_sweep(spec, max_workers=4, cache_dir="cache")            # deprecated
     run_sweep(spec, options=RunOptions(max_workers=4, cache_dir="cache"))
 """
 
@@ -85,11 +80,6 @@ class RunOptions:
             )
 
     # ------------------------------------------------------------------
-    def merged(self, **overrides: Any) -> "RunOptions":
-        """Return a copy with every non-``None`` override applied."""
-        changed = {name: value for name, value in overrides.items() if value is not None}
-        return dataclasses.replace(self, **changed) if changed else self
-
     def resolve_cache(self) -> "SweepCache | None":
         """The cache to use: the explicit one, or one built from *cache_dir*."""
         if self.cache is not None:

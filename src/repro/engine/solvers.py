@@ -106,16 +106,14 @@ def transient_diagnostics(
     """Diagnostics entries describing one uniformisation transient solve.
 
     Shared by the individual MRM solver and the batched scenario runner so
-    both report the fast-path telemetry (mode, resolved kernel, segment
-    count, steady-state detection point and the products it saved) under
-    the same keys, together with the process-global Poisson weight-cache
-    counters.
+    both report the fast-path telemetry (mode, segment count, steady-state
+    detection point and the products it saved) under the same keys,
+    together with the process-global Poisson weight-cache counters.
     """
     from repro.markov.poisson import poisson_cache_diagnostics
 
     return {
         "transient_mode": transient.mode,
-        "kernel": transient.kernel,
         "n_segments": transient.n_segments,
         "iterations_saved": transient.iterations_saved,
         "steady_state_time": transient.steady_state_time,
@@ -244,13 +242,7 @@ class MRMUniformizationSolver:
         backend, build_key = _backend_and_key(problem, delta)
         with obs.span("solve", method=self.name, label=problem.label or ""):
             chain = ws.discretized(problem.model(), delta, build_key, backend=backend)
-            # The kernel joins the propagator cache key (not the chain build
-            # key): the same chain build serves every kernel, but each kernel
-            # holds its own prepared form of the uniformised matrix.
-            propagator = ws.propagator(
-                chain, build_key + (("kernel", problem.kernel),), kernel=problem.kernel
-            )
-
+            propagator = ws.propagator(chain, build_key)
             with obs.span("transient", mode=problem.transient_mode):
                 transient = propagator.transient_batch(
                     chain.initial_distribution[None, :],
@@ -262,7 +254,6 @@ class MRMUniformizationSolver:
         ws.note_steady_state(problem.chain_key(), transient.steady_state_time)
         elapsed = obs.now() - started
         obs.count("solves." + self.name)
-        obs.count("kernel_selected." + transient.kernel)
         if transient.steady_state_time is not None:
             obs.count("steady_state_detections")
         obs.observe("solve_seconds." + self.name, elapsed)

@@ -1,47 +1,25 @@
-"""Pluggable compute kernels for the uniformisation hot path.
+"""The compute kernel of the uniformisation hot path.
 
 Every transient solve in this library bottoms out in the same inner loop:
 repeated vector--matrix products ``v @ P`` against the uniformised DTMC
 matrix, interleaved with Poisson-weighted accumulation
-``accumulated += w_n * v``.  This module isolates that loop behind a small
-kernel interface so the *implementation* can be swapped without touching
-the numerics of :class:`~repro.markov.uniformization.TransientPropagator`:
-
-* :class:`ScipyKernel` -- the reference implementation: ``v @ P`` through
-  scipy's sparse matmul (or a matrix-free operator's ``__rmatmul__``) and
-  the segment loop in plain Python/NumPy.  This is bit-identical to the
-  historical inline loop.
-* :class:`CompiledKernel` -- a numba-jitted CSR routine that runs a whole
-  Poisson window (products, weighted accumulation, steady-state change
-  tracking) inside one compiled function, eliminating the per-iteration
-  Python dispatch and the per-product temporaries.  The product is
-  evaluated as a column-gather over the CSC form of ``P`` (sequential
-  writes, random reads), which keeps the ``(K, n)`` batch layout of the
-  scipy path.  When numba is not importable the class degrades to the
-  scipy implementation -- constructing it never fails.
-
-Kernel selection is a three-valued knob (:data:`KERNEL_CHOICES`):
-``"scipy"`` and ``"compiled"`` force an implementation, ``"auto"`` picks
-``"compiled"`` exactly when numba is importable and the chain is an
-assembled CSR matrix (matrix-free operator chains always use the operator
-path -- there is no CSR to compile against).  An explicit ``"compiled"``
-request degrades gracefully to ``"scipy"`` in the same two situations
-instead of erroring, so environments without the ``[speed]`` extra run the
-identical pipeline at the interpreted speed.
+``accumulated += w_n * v``.  :class:`ScipyKernel` runs that loop for
+:class:`~repro.markov.uniformization.TransientPropagator`: ``v @ P``
+through scipy's sparse matmul (or a matrix-free operator's
+``__rmatmul__``) and the segment loop in plain Python/NumPy.
 
 The segment runner returns a :class:`SegmentResult` whose ``status``
 encodes the steady-state detection outcome (see the constants below); the
 caller owns the bookkeeping (saved-product accounting, convergence
-collapse) so both kernels share one semantics definition.
+collapse).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Any, Callable
+from typing import TYPE_CHECKING, Callable
 
 import numpy as np
-import scipy.sparse as sp
 
 from repro.checking.protocols import FloatArray
 
@@ -49,17 +27,10 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.checking.protocols import GeneratorLike
 
 __all__ = [
-    "KERNEL_CHOICES",
-    "CompiledKernel",
     "ScipyKernel",
     "SegmentResult",
     "build_kernel",
-    "numba_available",
-    "resolve_kernel",
 ]
-
-#: The supported values of the ``kernel`` knob.
-KERNEL_CHOICES = ("auto", "scipy", "compiled")
 
 #: ``run_segment`` ran the whole Poisson window without detection firing.
 SEGMENT_COMPLETED = 0
@@ -71,53 +42,6 @@ SEGMENT_START_INVARIANT = 1
 #: collapsed onto the remaining Poisson mass (the transient solution is
 #: *not* necessarily stationary -- later segments still run).
 SEGMENT_TAIL_COLLAPSED = 2
-
-_numba_probe: bool | None = None
-
-
-def numba_available() -> bool:
-    """Whether numba is importable (probed once per process).
-
-    Tests monkeypatch this module attribute's backing probe via
-    :func:`_set_numba_probe`; production code never forces it.
-    """
-    global _numba_probe
-    if _numba_probe is None:
-        try:
-            import numba  # noqa: F401
-        except ImportError:
-            _numba_probe = False
-        else:
-            _numba_probe = True
-    return _numba_probe
-
-
-def _set_numba_probe(value: bool | None) -> None:
-    """Test hook: force (or reset, with ``None``) the numba probe result."""
-    global _numba_probe
-    _numba_probe = value
-
-
-def resolve_kernel(kernel: str, *, matrix_free: bool) -> str:
-    """Resolve the ``kernel`` knob to a concrete implementation name.
-
-    ``"auto"`` selects ``"compiled"`` exactly when the chain is an
-    assembled sparse matrix *and* numba is importable.  An explicit
-    ``"compiled"`` request degrades to ``"scipy"`` (never errors) when the
-    chain is matrix-free -- the operator has no CSR arrays to compile
-    against -- or when numba is missing, which keeps environments without
-    the optional ``[speed]`` extra on the identical (slower) pipeline.
-    """
-    if kernel not in KERNEL_CHOICES:
-        raise ValueError(
-            f"unknown kernel {kernel!r}; expected one of {KERNEL_CHOICES}"
-        )
-    if matrix_free:
-        return "scipy"
-    if kernel == "scipy":
-        return "scipy"
-    # "auto" and "compiled" both want the compiled path when possible.
-    return "compiled" if numba_available() else "scipy"
 
 
 @dataclass
@@ -159,11 +83,9 @@ def segment_python(
     tol: float,
     progress: Callable[[int], None] | None = None,
 ) -> SegmentResult:
-    """Reference segment loop shared by every kernel.
+    """The segment loop: one Poisson window of products and accumulation.
 
-    *spmm* evaluates one ``v @ P`` product; the loop body reproduces the
-    historical inline implementation of the incremental transient solver
-    operation-for-operation, so the default pipeline stays bit-identical.
+    *spmm* evaluates one ``v @ P`` product.
     *progress* (when given) is invoked once per product with the count of
     products performed so far in this segment.
     """
@@ -213,21 +135,14 @@ def segment_python(
 
 
 class ScipyKernel:
-    """Reference kernel: scipy sparse products, Python segment loop.
+    """Scipy sparse products, Python segment loop.
 
     Also the kernel for matrix-free chains -- ``block @ matrix`` defers to
     the operator's ``__rmatmul__``, so one implementation covers both.
     """
 
-    name: str = "scipy"
-
     def __init__(self, matrix: GeneratorLike) -> None:
         self._matrix = matrix
-
-    @property
-    def matrix(self) -> GeneratorLike:
-        """The uniformised matrix (CSR) or operator the kernel applies."""
-        return self._matrix
 
     def spmm(self, block: FloatArray) -> FloatArray:
         """One ``block @ P`` product."""
@@ -246,179 +161,6 @@ class ScipyKernel:
         return segment_python(self.spmm, v, weights, left, right, tol, progress)
 
 
-# ----------------------------------------------------------------------
-_compiled_routines: tuple[Any, Any] | None = None
-
-
-def _build_compiled_routines() -> tuple[Any, Any]:
-    """JIT-compile the CSC gather product and the fused segment loop.
-
-    Compiled lazily (first kernel construction) and cached per process;
-    raises ``ImportError`` when numba is absent -- callers gate on
-    :func:`numba_available` first.
-    """
-    global _compiled_routines
-    if _compiled_routines is not None:
-        return _compiled_routines
-
-    import numba
-
-    @numba.njit(fastmath=False)
-    def spmm_csc(
-        indptr: Any, indices: Any, data: Any, v: Any, out: Any
-    ) -> None:  # pragma: no cover - jitted
-        """``out = v @ P`` via a gather over P's CSC columns."""
-        n_batch, n = v.shape
-        for k in range(n_batch):
-            for j in range(n):
-                total = 0.0
-                for entry in range(indptr[j], indptr[j + 1]):
-                    total += data[entry] * v[k, indices[entry]]
-                out[k, j] = total
-
-    @numba.njit(fastmath=False)
-    def run_segment_csc(
-        indptr: Any,
-        indices: Any,
-        data: Any,
-        v: Any,
-        weights: Any,
-        left: int,
-        right: int,
-        tol: float,
-    ) -> Any:  # pragma: no cover - jitted
-        """One fused Poisson-window segment: products + accumulation.
-
-        Mirrors :func:`segment_python`; the weighted accumulation, the
-        product and the steady-state 1-norm change are computed in one
-        pass over the batch block per iteration.
-        """
-        n_batch, n = v.shape
-        accumulated = np.zeros((n_batch, n))
-        v_next = np.empty((n_batch, n))
-        remaining_mass = 1.0
-        performed = 0
-        status = 0
-        break_index = right
-        for it in range(right + 1):
-            if it >= left:
-                weight = weights[it - left]
-                for k in range(n_batch):
-                    for j in range(n):
-                        accumulated[k, j] += weight * v[k, j]
-                remaining_mass -= weight
-            if it == right:
-                break
-            step_change = 0.0
-            for k in range(n_batch):
-                row_change = 0.0
-                for j in range(n):
-                    total = 0.0
-                    for entry in range(indptr[j], indptr[j + 1]):
-                        total += data[entry] * v[k, indices[entry]]
-                    v_next[k, j] = total
-                    row_change += abs(total - v[k, j])
-                if row_change > step_change:
-                    step_change = row_change
-            performed += 1
-            swap = v
-            v = v_next
-            v_next = swap
-            if tol > 0.0 and step_change < tol:
-                if it == 0:
-                    status = 1
-                else:
-                    status = 2
-                    tail = remaining_mass if remaining_mass > 0.0 else 0.0
-                    for k in range(n_batch):
-                        for j in range(n):
-                            accumulated[k, j] += tail * v[k, j]
-                break_index = it
-                break
-        return accumulated, v, performed, status, break_index
-
-    _compiled_routines = (spmm_csc, run_segment_csc)
-    return _compiled_routines
-
-
-class CompiledKernel(ScipyKernel):
-    """Numba-compiled CSR kernel with a graceful pure-NumPy fallback.
-
-    The uniformised matrix is converted to CSC once at construction (one
-    extra index/data copy -- the price of the gather layout); the fused
-    segment loop then runs entirely inside one jitted function.  Without
-    numba the instance silently *is* a :class:`ScipyKernel` (``name``
-    reports ``"scipy"``), so construction never fails and results are
-    identical either way.
-    """
-
-    name: str = "compiled"
-
-    def __init__(self, matrix: GeneratorLike) -> None:
-        super().__init__(matrix)
-        self._jitted: tuple[Any, Any] | None = None
-        if not numba_available():
-            # Graceful fallback: behave exactly like the scipy kernel.
-            self.name = ScipyKernel.name
-            return
-        self._jitted = _build_compiled_routines()
-        csc = sp.csc_matrix(matrix)
-        self._indptr = csc.indptr
-        self._indices = csc.indices
-        self._data = csc.data
-
-    def spmm(self, block: FloatArray) -> FloatArray:
-        if self._jitted is None:
-            return super().spmm(block)
-        rows = np.ascontiguousarray(block)
-        out = np.empty_like(rows)
-        self._jitted[0](self._indptr, self._indices, self._data, rows, out)
-        return out
-
-    def run_segment(
-        self,
-        v: FloatArray,
-        weights: FloatArray,
-        left: int,
-        right: int,
-        tol: float,
-        progress: Callable[[int], None] | None = None,
-    ) -> SegmentResult:
-        if self._jitted is None or progress is not None:
-            # Per-product progress callbacks cannot fire from inside the
-            # jitted loop; keep the Python loop (still using the jitted
-            # product) so callback granularity is preserved.
-            return segment_python(self.spmm, v, weights, left, right, tol, progress)
-        rows = np.ascontiguousarray(v)
-        accumulated, vector, performed, status, break_index = self._jitted[1](
-            self._indptr,
-            self._indices,
-            self._data,
-            rows,
-            np.ascontiguousarray(weights, dtype=float),
-            left,
-            right,
-            tol,
-        )
-        return SegmentResult(
-            accumulated=accumulated,
-            vector=vector,
-            performed=int(performed),
-            status=int(status),
-            break_index=int(break_index),
-        )
-
-
-def build_kernel(
-    matrix: GeneratorLike, kernel: str = "auto", *, matrix_free: bool = False
-) -> ScipyKernel:
-    """Construct the kernel *kernel* resolves to for *matrix*.
-
-    Returns a :class:`ScipyKernel` or :class:`CompiledKernel`; the
-    instance's ``name`` reports the implementation that will actually run
-    (``"scipy"`` for a compiled request that fell back).
-    """
-    resolved = resolve_kernel(kernel, matrix_free=matrix_free)
-    if resolved == "compiled":
-        return CompiledKernel(matrix)
+def build_kernel(matrix: GeneratorLike) -> ScipyKernel:
+    """Construct the kernel that applies the uniformised *matrix*."""
     return ScipyKernel(matrix)

@@ -2,7 +2,7 @@
 
 The per-solve ``diagnostics`` mappings describe *one* result; this
 registry aggregates *across* solves -- sweep-cache and Poisson-cache
-hit/miss totals, kernel selections, steady-state detections, retry and
+hit/miss totals, steady-state detections, retry and
 degrade counts, solve-latency histograms -- which is exactly the shape
 the planned lifetime-query service needs (p50/p99 latency, throughput,
 hit rates).

@@ -33,6 +33,23 @@ from repro.workload.base import WorkloadModel
 __all__ = ["LifetimeQuery"]
 
 
+#: The optional problem knobs of the wire format, with their casts.
+_OPTIONAL_FIELDS = (
+    ("delta", float),
+    ("epsilon", float),
+    ("n_runs", int),
+    ("seed", int),
+    ("horizon", float),
+    ("transient_mode", str),
+)
+
+#: Every top-level key :meth:`LifetimeQuery.from_mapping` understands.
+_WIRE_KEYS = frozenset(
+    ("workload", "battery", "times", "method", "label")
+    + tuple(name for name, _ in _OPTIONAL_FIELDS)
+)
+
+
 def _times_from_payload(value: Any) -> Any:
     """Accept either an explicit grid or a ``{start, stop, num}`` mapping."""
     if isinstance(value, Mapping):
@@ -94,7 +111,15 @@ class LifetimeQuery:
               "delta": 0.9, "epsilon": 1e-6, "n_runs": 1000, "seed": 1,
               "horizon": null, "method": "auto", "label": "query-1"
             }
+
+        Any other top-level key raises ``ValueError`` naming it: a
+        misspelt knob must not silently fall back to its default.
         """
+        unknown = sorted(set(payload) - _WIRE_KEYS)
+        if unknown:
+            raise ValueError(
+                f"unknown query keys {unknown}; expected a subset of {sorted(_WIRE_KEYS)}"
+            )
         workload_payload = payload["workload"]
         workload = WorkloadModel(
             state_names=tuple(str(name) for name in workload_payload["state_names"]),
@@ -111,15 +136,7 @@ class LifetimeQuery:
             k=float(battery_payload["k"]),
         )
         optional: dict[str, Any] = {}
-        for name, caster in (
-            ("delta", float),
-            ("epsilon", float),
-            ("n_runs", int),
-            ("seed", int),
-            ("horizon", float),
-            ("transient_mode", str),
-            ("kernel", str),
-        ):
+        for name, caster in _OPTIONAL_FIELDS:
             if payload.get(name) is not None:
                 optional[name] = caster(payload[name])
         # The label rides on the query only, never on the problem: results

@@ -7,7 +7,12 @@ import json
 import sys
 from pathlib import Path
 
-from repro.experiments.records import git_commit_sha, stamp_record, write_bench_record
+from repro.experiments.records import (
+    git_commit_sha,
+    merge_record_section,
+    stamp_record,
+    write_bench_record,
+)
 
 _CHECKER_PATH = (
     Path(__file__).resolve().parent.parent / "benchmarks" / "check_bench_regression.py"
@@ -40,6 +45,26 @@ class TestRecords:
         stamped = stamp_record(record)
         assert "provenance" not in record
         assert stamped["results"] is record["results"]
+
+    def test_merge_record_section_preserves_other_sections(self, tmp_path):
+        path = tmp_path / "BENCH_example.json"
+        merge_record_section(path, "first", {"speedup": 2.0}, benchmark="example")
+        merge_record_section(path, "second", {"speedup": 3.0}, benchmark="ignored")
+        merge_record_section(path, "first", {"speedup": 4.0}, benchmark="ignored")
+        on_disk = json.loads(path.read_text())
+        assert on_disk["benchmark"] == "example"
+        assert on_disk["first"] == {"speedup": 4.0}
+        assert on_disk["second"] == {"speedup": 3.0}
+        assert "provenance" in on_disk
+
+    def test_merge_record_section_replaces_a_corrupt_record(self, tmp_path):
+        path = tmp_path / "BENCH_example.json"
+        path.write_text("{not json")
+        stamped = merge_record_section(path, "only", {"speedup": 1.5}, benchmark="example")
+        on_disk = json.loads(path.read_text())
+        assert on_disk == stamped
+        assert set(on_disk) == {"benchmark", "only", "provenance"}
+        assert on_disk["benchmark"] == "example"
 
 
 class TestRegressionDiff:

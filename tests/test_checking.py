@@ -21,7 +21,6 @@ from repro.checking import (
     GeneratorOperator,
     SchedulerPolicy,
     SweepExecutor,
-    UniformizationKernel,
     audit_fingerprint_registry,
     checks_mode,
     dense_fallback,
@@ -32,7 +31,6 @@ from repro.checking import (
 from repro.core.discretization import discretize
 from repro.core.kibamrm import KiBaMRM
 from repro.engine.diagnostics import DIAGNOSTIC_KEYS, validate_diagnostics
-from repro.markov.kernels import CompiledKernel, ScipyKernel, build_kernel
 from repro.markov.kronecker import KroneckerGenerator, KroneckerTerm
 from repro.multibattery.policies import (
     BestOfPolicy,
@@ -62,13 +60,6 @@ def test_kronecker_generator_satisfies_generator_operator() -> None:
     assert isinstance(small_kronecker(), GeneratorOperator)
 
 
-def test_kernels_satisfy_uniformization_kernel() -> None:
-    matrix = sp.csr_matrix(np.eye(4))
-    assert isinstance(ScipyKernel(matrix), UniformizationKernel)
-    assert isinstance(CompiledKernel(matrix), UniformizationKernel)
-    assert isinstance(build_kernel(matrix), UniformizationKernel)
-
-
 def test_policies_satisfy_scheduler_policy() -> None:
     for policy in (StaticSplitPolicy(), RoundRobinPolicy(), BestOfPolicy()):
         assert isinstance(policy, SchedulerPolicy), policy
@@ -92,10 +83,10 @@ def test_multibattery_chains_satisfy_discretized_chain() -> None:
 
 
 def test_non_conforming_object_is_rejected() -> None:
-    class NotAKernel:
-        name = "nope"
+    class NotAnOperator:
+        shape = (1, 1)
 
-    assert not isinstance(NotAKernel(), UniformizationKernel)
+    assert not isinstance(NotAnOperator(), GeneratorOperator)
 
 
 def test_chunk_executors_satisfy_sweep_executor() -> None:

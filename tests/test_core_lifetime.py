@@ -1,15 +1,37 @@
-"""Tests for the lifetime-distribution solver and the convenience builder."""
+"""Tests of the lifetime distribution computed by the Markovian approximation.
+
+Every curve is solved through :func:`repro.api.solve` with the
+``mrm-uniformization`` solver: discretise the KiBaM wells with step
+``delta``, then uniformise the absorbing expanded CTMC.
+"""
 
 import numpy as np
 import pytest
 
+import repro.api as api
 from repro.battery.parameters import KiBaMParameters
-from repro.core.builder import compute_lifetime_distribution, default_time_grid
+from repro.core.discretization import discretize
 from repro.core.kibamrm import KiBaMRM
-from repro.core.lifetime import LifetimeSolver, lifetime_distribution
+from repro.engine.solvers import MRMUniformizationSolver
+from repro.engine.workspace import SolveWorkspace
 from repro.reward.occupation import two_level_lifetime_cdf
 from repro.workload.onoff import onoff_workload
-from repro.workload.simple import simple_workload
+
+
+def lifetime_problem(model: KiBaMRM, delta: float, times) -> api.LifetimeProblem:
+    """The lifetime question for *model* at step *delta* on *times*."""
+    return api.LifetimeProblem(
+        workload=model.workload,
+        battery=model.battery,
+        times=np.asarray(times, dtype=float),
+        delta=delta,
+        epsilon=1e-8,
+    )
+
+
+def approximate(model: KiBaMRM, delta: float, times):
+    """The Markovian-approximation lifetime CDF of *model*."""
+    return api.solve(lifetime_problem(model, delta, times), "mrm-uniformization").distribution
 
 
 @pytest.fixture
@@ -27,7 +49,7 @@ def fast_onoff_model():
 class TestLifetimeSolver:
     def test_cdf_is_monotone_and_bounded(self, fast_onoff_model):
         times = np.linspace(200.0, 4000.0, 20)
-        curve = LifetimeSolver(fast_onoff_model, delta=10.0).solve(times)
+        curve = approximate(fast_onoff_model, 10.0, times)
         assert np.all(curve.probabilities >= 0.0)
         assert np.all(curve.probabilities <= 1.0)
         assert np.all(np.diff(curve.probabilities) >= -1e-9)
@@ -36,12 +58,12 @@ class TestLifetimeSolver:
         # Draining 600 As at 0.96 A takes 625 s even without idle periods; the
         # phase-type approximation smears a little mass below that bound, but
         # it must stay negligible well before it.
-        curve = LifetimeSolver(fast_onoff_model, delta=10.0).solve([300.0, 600.0])
+        curve = approximate(fast_onoff_model, 10.0, [300.0, 600.0])
         assert curve.probabilities[0] < 1e-6
         assert curve.probabilities[1] < 0.02
 
     def test_probability_approaches_one_for_long_horizons(self, fast_onoff_model):
-        curve = LifetimeSolver(fast_onoff_model, delta=10.0).solve([20000.0])
+        curve = approximate(fast_onoff_model, 10.0, [20000.0])
         assert curve.probabilities[0] > 0.99
 
     def test_finer_delta_approaches_exact_solution(self, fast_onoff_model):
@@ -56,29 +78,30 @@ class TestLifetimeSolver:
         )
         errors = []
         for delta in (50.0, 25.0, 10.0):
-            curve = LifetimeSolver(fast_onoff_model, delta=delta).solve(times)
+            curve = approximate(fast_onoff_model, delta, times)
             errors.append(float(np.max(np.abs(curve.probabilities - exact))))
         assert errors[0] > errors[-1]
         assert errors[-1] < 0.12
 
     def test_metadata_is_recorded(self, fast_onoff_model):
-        solver = LifetimeSolver(fast_onoff_model, delta=20.0)
-        curve = solver.solve([1000.0, 2000.0])
-        assert curve.metadata["method"] == "markovian-approximation"
+        curve = approximate(fast_onoff_model, 20.0, [1000.0, 2000.0])
+        assert curve.metadata["method"] == "mrm-uniformization"
         assert curve.metadata["delta"] == 20.0
-        assert curve.metadata["n_states"] == solver.n_states
+        assert curve.metadata["n_states"] == discretize(fast_onoff_model, 20.0).n_states
         assert curve.metadata["iterations"] > 0
 
     def test_mean_lifetime_close_to_expected_consumption_time(self, fast_onoff_model):
         # The mean current is 0.48 A, so the 600 As battery lasts roughly
         # 1250 s (plus phase-type spread).
-        mean = LifetimeSolver(fast_onoff_model, delta=10.0).mean_lifetime(horizon=6000.0)
+        horizon, n_points = 6000.0, 200
+        times = np.linspace(horizon / n_points, horizon, n_points)
+        mean = approximate(fast_onoff_model, 10.0, times).mean_lifetime()
         assert mean == pytest.approx(1250.0, rel=0.15)
 
     def test_one_shot_wrapper_matches_solver(self, fast_onoff_model):
-        times = [1000.0, 1500.0]
-        via_solver = LifetimeSolver(fast_onoff_model, delta=20.0).solve(times)
-        via_wrapper = lifetime_distribution(fast_onoff_model, times, delta=20.0)
+        problem = lifetime_problem(fast_onoff_model, 20.0, [1000.0, 1500.0])
+        via_solver = MRMUniformizationSolver().solve(problem, workspace=SolveWorkspace())
+        via_wrapper = api.solve(problem, "mrm-uniformization")
         assert np.allclose(via_solver.probabilities, via_wrapper.probabilities)
 
     def test_two_well_solver_runs_and_is_slower_to_empty(self):
@@ -90,29 +113,8 @@ class TestLifetimeSolver:
             workload=workload, battery=KiBaMParameters(capacity=375.0, c=1.0, k=0.0)
         )
         times = np.linspace(400.0, 2500.0, 8)
-        partial_curve = LifetimeSolver(partial, delta=12.5).solve(times)
-        available_curve = LifetimeSolver(only_available, delta=12.5).solve(times)
+        partial_curve = approximate(partial, 12.5, times)
+        available_curve = approximate(only_available, 12.5, times)
         # With the bound charge feeding the available well the battery lasts
         # longer than with the available part alone (Figure 9 ordering).
         assert np.all(partial_curve.probabilities <= available_curve.probabilities + 0.02)
-
-
-class TestBuilder:
-    def test_default_time_grid_spans_ideal_lifetime(self, paper_battery):
-        workload = simple_workload()
-        grid = default_time_grid(workload, paper_battery)
-        ideal = paper_battery.capacity / workload.mean_current()
-        assert grid[0] < ideal < grid[-1]
-
-    def test_default_time_grid_rejects_zero_current(self, paper_battery):
-        workload = simple_workload(idle_current_ma=0.0, send_current_ma=0.0, sleep_current_ma=0.0)
-        with pytest.raises(ValueError):
-            default_time_grid(workload, paper_battery)
-
-    def test_compute_lifetime_distribution_end_to_end(self):
-        workload = onoff_workload(frequency=0.01)
-        battery = KiBaMParameters(capacity=600.0, c=1.0, k=0.0)
-        curve = compute_lifetime_distribution(workload, battery, delta=20.0, label="quick")
-        assert curve.label == "quick"
-        assert curve.probabilities[-1] > 0.9
-        assert curve.n_points == 120

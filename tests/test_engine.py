@@ -240,17 +240,21 @@ class TestWorkspaceReuse:
         assert workspace.build_hits == 1
 
     def test_core_solver_reuses_propagator(self, onoff):
-        from repro.core.kibamrm import KiBaMRM
-        from repro.core.lifetime import LifetimeSolver
+        import repro.api as api
 
-        solver = LifetimeSolver(
-            KiBaMRM(workload=onoff, battery=KiBaMParameters(capacity=720.0, c=1.0, k=0.0)),
+        workspace = SolveWorkspace()
+        problem = LifetimeProblem(
+            workload=onoff,
+            battery=KiBaMParameters(capacity=720.0, c=1.0, k=0.0),
+            times=[1000.0, 2000.0],
             delta=10.0,
+            epsilon=1e-8,
         )
-        first = solver.propagator
-        solver.solve([1000.0, 2000.0])
-        solver.solve([1500.0])
-        assert solver.propagator is first
+        api.solve(problem, "mrm-uniformization", workspace=workspace)
+        (first,) = workspace.propagators.values()
+        api.solve(problem.with_times([1500.0]), "mrm-uniformization", workspace=workspace)
+        (again,) = workspace.propagators.values()
+        assert again is first
 
 
 class TestScenarioBatch:

@@ -11,16 +11,23 @@ uniformisation runs get shorter).
 import numpy as np
 import pytest
 
+import repro.api as api
 from repro.analysis.distribution import LifetimeDistribution
 from repro.battery.kibam import KineticBatteryModel
 from repro.battery.parameters import KiBaMParameters
-from repro.core.kibamrm import KiBaMRM
-from repro.core.lifetime import LifetimeSolver
 from repro.reward.occupation import two_level_lifetime_cdf
 from repro.simulation.lifetime_sim import simulate_lifetime_distribution
 from repro.workload.burst import burst_workload
 from repro.workload.onoff import onoff_workload
 from repro.workload.simple import simple_workload
+
+
+def approximate(workload, battery, delta, times) -> LifetimeDistribution:
+    """The Markovian-approximation lifetime CDF, solved through the engine."""
+    problem = api.LifetimeProblem(
+        workload=workload, battery=battery, times=times, delta=delta, epsilon=1e-8
+    )
+    return api.solve(problem, "mrm-uniformization").distribution
 
 
 class TestOnOffSingleWell:
@@ -57,10 +64,9 @@ class TestOnOffSingleWell:
 
     def test_approximation_converges_to_exact(self, workload, exact_curve):
         battery = KiBaMParameters(capacity=self.CAPACITY, c=1.0, k=0.0)
-        model = KiBaMRM(workload=workload, battery=battery)
         distances = []
         for delta in (20.0, 10.0, 5.0):
-            curve = LifetimeSolver(model, delta).solve(self.TIMES)
+            curve = approximate(workload, battery, delta, self.TIMES)
             distances.append(float(np.max(np.abs(curve.probabilities - exact_curve.probabilities))))
         assert distances[0] >= distances[-1]
         assert distances[-1] < 0.25  # the paper reports slow convergence here
@@ -82,8 +88,7 @@ class TestOnOffTwoWells:
         # k is scaled up by 10 compared to the paper because the capacity is
         # scaled down by 10 (same relative recovery per lifetime).
         battery = KiBaMParameters(capacity=720.0, c=0.625, k=4.5e-4)
-        model = KiBaMRM(workload=workload, battery=battery)
-        approximation = LifetimeSolver(model, delta=10.0).solve(self.TIMES)
+        approximation = approximate(workload, battery, 10.0, self.TIMES)
         simulation = simulate_lifetime_distribution(
             workload, KineticBatteryModel(battery), n_runs=800, seed=9, horizon=6000.0
         )
@@ -114,12 +119,8 @@ class TestSimpleAndBurstModels:
         battery = KiBaMParameters.from_mah(80.0, c=0.625, k_per_second=4.5e-5)
         times = np.linspace(0.5, 6.0, 12) * 3600.0
         delta = 2.0 * 3.6  # 2 mAh
-        simple_curve = LifetimeSolver(
-            KiBaMRM(workload=simple_workload(), battery=battery), delta
-        ).solve(times)
-        burst_curve = LifetimeSolver(
-            KiBaMRM(workload=burst_workload(), battery=battery), delta
-        ).solve(times)
+        simple_curve = approximate(simple_workload(), battery, delta, times)
+        burst_curve = approximate(burst_workload(), battery, delta, times)
         # The burst model is less likely to have emptied the battery at every
         # time point (Figure 11).
         assert np.all(burst_curve.probabilities <= simple_curve.probabilities + 0.02)
@@ -129,7 +130,7 @@ class TestSimpleAndBurstModels:
         battery = KiBaMParameters.from_mah(80.0, c=0.625, k_per_second=4.5e-5)
         workload = simple_workload()
         times = np.linspace(0.5, 6.0, 12) * 3600.0
-        approximation = LifetimeSolver(KiBaMRM(workload=workload, battery=battery), 2.0 * 3.6).solve(times)
+        approximation = approximate(workload, battery, 2.0 * 3.6, times)
         simulation = simulate_lifetime_distribution(
             workload, KineticBatteryModel(battery), n_runs=800, seed=21
         )

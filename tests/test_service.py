@@ -24,7 +24,6 @@ from repro import obs
 from repro.battery.parameters import KiBaMParameters
 from repro.checking.fingerprints import audit_fingerprint_registry
 from repro.engine import (
-    ExecutionPolicy,
     RunOptions,
     SweepCache,
     SweepSpec,
@@ -115,6 +114,34 @@ class TestLifetimeQuery:
         # requester's label to every later cache hit of the fingerprint.
         assert query.problem.label is None
 
+    @pytest.mark.parametrize(
+        "extra, unknown",
+        [
+            ({"kernel": "scipy"}, "kernel"),
+            ({"epsilom": 1e-3}, "epsilom"),
+            ({}, None),
+        ],
+    )
+    def test_from_mapping_rejects_unknown_keys(self, extra, unknown) -> None:
+        payload = {
+            "workload": {
+                "state_names": ["busy", "idle"],
+                "generator": [[-0.02, 0.02], [0.02, -0.02]],
+                "currents": [1.0, 0.05],
+                "initial_distribution": [1.0, 0.0],
+            },
+            "battery": {"capacity": 60.0, "c": 0.625, "k": 1e-3},
+            "times": {"start": 0.0, "stop": 300.0, "num": 16},
+            "delta": 2.0,
+            "epsilon": 1e-6,
+            **extra,
+        }
+        if unknown is None:
+            assert LifetimeQuery.from_mapping(payload).fingerprint() == make_query().fingerprint()
+        else:
+            with pytest.raises(ValueError, match=unknown):
+                LifetimeQuery.from_mapping(payload)
+
     def test_label_does_not_leak_through_the_store(self) -> None:
         service = LifetimeService()
         labelled = make_query(label="first-requester")
@@ -123,6 +150,38 @@ class TestLifetimeQuery:
         repeat = service.submit(plain)
         assert repeat.served_from == "cache"
         assert repeat.result.label != "first-requester"
+
+
+class TestPinnedFingerprints:
+    """Cache keys are stable across releases.
+
+    On-disk :class:`SweepCache` entries are named by these hex digests, so
+    a change to any of them orphans every stored result.  The values were
+    computed before the fingerprint-exempt ``kernel`` field was removed.
+    """
+
+    def test_single_battery_query_fingerprint(self) -> None:
+        query = make_query(method="mrm-uniformization")
+        assert query.fingerprint() == (
+            "d173f4f7f846e9066b1f3239c11bc3d7f603fd78cb3548083e620274f79e45e8"
+        )
+        assert make_query().fingerprint() == query.fingerprint()
+
+    def test_sweep_spec_scenario_fingerprints(self) -> None:
+        spec = SweepSpec(
+            workloads=[WORKLOAD],
+            batteries=[BATTERY],
+            times=TIMES,
+            deltas=(2.0,),
+            methods=("mrm-uniformization", "monte-carlo"),
+            n_runs=200,
+            seed=7,
+        )
+        problems, methods = spec.scenarios()
+        assert [scenario_fingerprint(p, m) for p, m in zip(problems, methods)] == [
+            "d0df93290ef78f383e09e183956e5c26929ea163b5c6721465eb70ee88474321",
+            "02f617bf8779217ca3bd14120669aec36854566200f4afa6a49ceac63861ede9",
+        ]
 
 
 class TestCoalescing:
@@ -348,13 +407,6 @@ class TestRunOptions:
         with pytest.raises(ValueError, match="failure_mode"):
             RunOptions(failure_mode="shrug")
 
-    def test_merged_overrides_only_non_none(self) -> None:
-        base = RunOptions(max_workers=2, failure_mode="degrade")
-        merged = base.merged(max_workers=4, executor=None)
-        assert merged.max_workers == 4
-        assert merged.failure_mode == "degrade"
-        assert base.merged() is base
-
     def test_resolve_cache_prefers_explicit(self, tmp_path) -> None:
         cache = SweepCache()
         assert RunOptions(cache=cache).resolve_cache() is cache
@@ -374,31 +426,6 @@ class TestRunOptions:
                 options=RunOptions(max_workers=1),
             )
         assert len(outcome.results) == 1
-
-    def test_run_sweep_legacy_kwargs_deprecated_with_migration(self) -> None:
-        with pytest.warns(DeprecationWarning, match=r"options=RunOptions\(max_workers=\.\.\.\)"):
-            run_sweep([make_query().problem], "mrm-uniformization", max_workers=1)
-
-    def test_run_sweep_legacy_kwargs_still_work(self) -> None:
-        cache = SweepCache()
-        with pytest.warns(DeprecationWarning):
-            run_sweep(
-                [make_query().problem], "mrm-uniformization", max_workers=1, cache=cache
-            )
-        assert len(cache) == 1
-
-    def test_legacy_kwargs_override_options(self) -> None:
-        policy = ExecutionPolicy(max_retries=0)
-        with pytest.warns(DeprecationWarning):
-            outcome = run_sweep(
-                [make_query().problem],
-                "mrm-uniformization",
-                options=RunOptions(max_workers=2),
-                max_workers=1,
-                execution=policy,
-            )
-        assert outcome.diagnostics["n_workers"] == 1
-
 
 class TestServeFronts:
     QUERY_DOCUMENT = {

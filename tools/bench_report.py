@@ -12,7 +12,7 @@ Gate pairing is by convention: within a record section's ``results``
 mapping, keys named ``required_*`` / ``min_*`` are ``>=`` gates,
 ``max_allowed_*`` / ``tolerance`` are ``<=`` gates, and each gate is
 attached to the metric rows sharing its final word stem (so
-``required_compiled_speedup`` annotates the ``*_speedup`` metrics and
+``required_fused_speedup`` annotates the ``*_speedup`` metrics and
 ``tolerance`` annotates the ``*_diff`` / ``*_error`` metrics).
 
 The module only reads JSON -- it never imports the benchmark code -- so
