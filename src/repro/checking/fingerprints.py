@@ -12,8 +12,8 @@ mattered) or needlessly misses (if it did not).
 Every field must therefore be declared here, exactly once per class, as
 either **relevant** (it feeds the fingerprint) or **exempt** (it provably
 cannot change the solved curve: labels, presentation metadata, and the
-knobs whose whole design contract is numerical equivalence -- transient
-mode, chain backend).  Two enforcement layers read this table:
+knobs whose whole design contract is numerical equivalence -- the chain
+backend).  Two enforcement layers read this table:
 
 * lint rule RPR003 (``tools/repro_lint.py``) parses the literal below and
   flags any dataclass field of these classes (or their subtypes) that is
@@ -57,9 +57,6 @@ FINGERPRINT_FIELDS = {
             # Presentation only: never touches the numerics.
             "label",
             "metadata",
-            # Equivalence-contract knob: incremental and single-pass agree
-            # within epsilon, so the cache must serve across them.
-            "transient_mode",
         ),
     },
     "MultiBatteryProblem": {
@@ -103,7 +100,6 @@ FINGERPRINT_FIELDS = {
             "seed",
         ),
         "exempt": (
-            "transient_mode",
             # Execution policy (retries, timeouts, backoff, failure mode):
             # how hard the driver tries cannot change the curve, and a
             # retried scenario must hit the cache entry its first attempt

@@ -27,6 +27,10 @@ Poisson windows) is identical, so batched results match independent solves
 to floating-point accuracy.  Chains *with* transfer are never merged across
 capacities, because the transfer cutoff at the top of the smaller grid
 would differ.
+
+The batch only forms the groups: each one, singletons included, is solved
+by :meth:`~repro.engine.solvers.MRMUniformizationSolver.solve_group`, the
+same call every individual MRM solve goes through.
 """
 
 from __future__ import annotations
@@ -35,27 +39,16 @@ import time
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any
 
-import numpy as np
-
-from repro import obs
 from repro.analysis.distribution import LifetimeDistribution
-from repro.core.discretization import DiscretizedKiBaMRM, place_initial_distribution
 from repro.engine.problem import LifetimeProblem
 from repro.engine.result import LifetimeResult
-from repro.engine.solvers import (
-    MRMUniformizationSolver,
-    _backend_and_key,
-    build_mrm_result,
-    choose_method,
-    transient_diagnostics,
-)
+from repro.engine.solvers import MRMUniformizationSolver, choose_method
 from repro.engine.workspace import SolveWorkspace
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from collections.abc import Iterable, Iterator, Sequence
 
     from repro.battery.parameters import KiBaMParameters
-    from repro.checking import FloatArray
 
 __all__ = ["BatchResult", "ScenarioBatch", "chain_merge_key"]
 
@@ -84,15 +77,9 @@ def chain_merge_key(problem: LifetimeProblem) -> tuple[Any, ...]:
             problem.chain_key(),
             problem.resolved_backend(),
             float(problem.epsilon),
-            problem.transient_mode,
         )
     if problem.has_transfer:
-        return (
-            "identical",
-            problem.chain_key(),
-            float(problem.epsilon),
-            problem.transient_mode,
-        )
+        return ("identical", problem.chain_key(), float(problem.epsilon))
     return (
         "stacked",
         problem.workload_fingerprint(),
@@ -100,7 +87,6 @@ def chain_merge_key(problem: LifetimeProblem) -> tuple[Any, ...]:
         float(problem.battery.k),
         float(problem.effective_delta),
         float(problem.epsilon),
-        problem.transient_mode,
     )
 
 
@@ -233,118 +219,30 @@ class ScenarioBatch:
             for problem in self._problems
         ]
 
-        # Group the MRM scenarios that can share a chain; everything else is
-        # solved individually (still sharing the workspace caches).
-        mrm_name = MRMUniformizationSolver.name
+        # Group the MRM scenarios that can share a chain and hand every
+        # group (singletons included) to the solver's one group solve, so
+        # the steady-state times they record are there for the remaining
+        # solves; those run individually (still sharing the workspace).
+        mrm = MRMUniformizationSolver()
         groups: dict[tuple[Any, ...], list[int]] = {}
         for index, (problem, concrete) in enumerate(zip(self._problems, methods)):
-            if concrete != mrm_name:
-                continue
-            groups.setdefault(chain_merge_key(problem), []).append(index)
-
-        merged_groups = 0
-        stacked_scenarios = 0
-        for key, indices in groups.items():
-            if len(indices) < 2:
-                continue
-            merged_groups += 1
-            stacked_scenarios += len(indices)
+            if concrete == mrm.name:
+                groups.setdefault(chain_merge_key(problem), []).append(index)
+        for indices in groups.values():
             group = [self._problems[i] for i in indices]
-            for i, result in zip(indices, self._solve_mrm_group(group, ws)):
+            for i, result in zip(indices, mrm.solve_group(group, ws)):
                 results[i] = result
 
         for index, (problem, concrete) in enumerate(zip(self._problems, methods)):
-            if results[index] is not None:
-                continue
-            results[index] = get_solver(concrete).solve(problem, workspace=ws)
+            if results[index] is None:
+                results[index] = get_solver(concrete).solve(problem, workspace=ws)
 
+        merged = [indices for indices in groups.values() if len(indices) > 1]
         diagnostics = {
             "n_scenarios": len(self._problems),
-            "merged_groups": merged_groups,
-            "stacked_scenarios": stacked_scenarios,
+            "merged_groups": len(merged),
+            "stacked_scenarios": sum(len(indices) for indices in merged),
             "wall_seconds": time.perf_counter() - started,
             **ws.diagnostics(),
         }
         return BatchResult(results=tuple(results), diagnostics=diagnostics)
-
-    # ------------------------------------------------------------------
-    def _solve_mrm_group(
-        self, group: list[LifetimeProblem], ws: SolveWorkspace
-    ) -> list[LifetimeResult]:
-        """Solve a chain-sharing group of MRM scenarios in one blocked pass."""
-        started = time.perf_counter()
-        # The chain is built for the scenario with the largest capacity;
-        # every other scenario is the same chain started at a lower level.
-        anchor = max(group, key=lambda problem: problem.battery.capacity)
-        delta = anchor.effective_delta
-        backend, key = _backend_and_key(anchor, delta)
-        chain = ws.discretized(anchor.model(), delta, key, backend=backend)
-        propagator = ws.propagator(chain, key)
-
-        # Scenarios with the same battery reduce to the same initial vector
-        # (they differ only in time grid / label); deduplicate the rows so
-        # the blocked pass propagates each distinct start exactly once.
-        vectors = [self._initial_vector(chain, problem) for problem in group]
-        unique_rows: dict[bytes, int] = {}
-        row_of: list[int] = []
-        stack: list[FloatArray] = []
-        for vector in vectors:
-            fingerprint = vector.tobytes()
-            row = unique_rows.get(fingerprint)
-            if row is None:
-                row = len(stack)
-                unique_rows[fingerprint] = row
-                stack.append(vector)
-            row_of.append(row)
-
-        merged_times = np.unique(np.concatenate([problem.times for problem in group]))
-        with obs.span("batch_solve", size=len(group), rows=len(stack)):
-            transient = propagator.transient_batch(
-                np.stack(stack),
-                merged_times,
-                epsilon=float(group[0].epsilon),
-                projection=ws.empty_projection(chain, key),
-                mode=group[0].transient_mode,
-            )
-        # Steady-state notes key on the physical chain (the flattening time
-        # is backend-independent), not on the workspace build key.
-        ws.note_steady_state(anchor.chain_key(), transient.steady_state_time)
-        elapsed = time.perf_counter() - started
-        if transient.steady_state_time is not None:
-            obs.count("steady_state_detections")
-        obs.observe("solve_seconds.mrm_batch", elapsed)
-
-        results = []
-        for index, problem in enumerate(group):
-            columns = np.searchsorted(merged_times, problem.times)
-            results.append(
-                build_mrm_result(
-                    problem,
-                    chain,
-                    transient.values[row_of[index], columns],
-                    rate=transient.rate,
-                    iterations=transient.iterations,
-                    extra_diagnostics={
-                        **transient_diagnostics(transient),
-                        **({} if backend is None else {"backend": backend}),
-                        "batched": True,
-                        "batch_size": len(group),
-                        "batch_rows": len(stack),
-                        "wall_seconds": elapsed,
-                    },
-                )
-            )
-        return results
-
-    @staticmethod
-    def _initial_vector(
-        chain: DiscretizedKiBaMRM, problem: LifetimeProblem
-    ) -> FloatArray:
-        """Place the workload's initial law at the scenario's charge levels."""
-        if problem.is_multibattery:
-            # Bank scenarios only merge on identical chain keys, so every
-            # group member starts from the chain's own initial vector (the
-            # full-charge product cell).
-            return np.asarray(chain.initial_distribution, dtype=float)
-        available0, bound0 = problem.model().initial_rewards
-        return place_initial_distribution(chain.grid, problem.workload, available0, bound0)

@@ -19,13 +19,14 @@ The schema doubles as the *map* of who writes what.  Keys are grouped,
 in order, by producing layer:
 
 * **shared MRM solve telemetry** -- ``build_mrm_result``
-  (:mod:`repro.engine.result`) stamps these on every uniformisation
+  (:mod:`repro.engine.solvers`) stamps these on every uniformisation
   solve;
 * **transient fast-path telemetry** -- ``transient_diagnostics``
-  (:mod:`repro.markov.uniformization`) via the MRM solvers;
+  (:mod:`repro.engine.solvers`) via the MRM group solve;
 * **analytic / Monte-Carlo / auto** -- the respective solvers of
   :mod:`repro.engine.solvers`;
-* **scenario batching** -- :mod:`repro.engine.batch` group solves;
+* **scenario batching** -- the MRM group solve (on groups of more than
+  one) and :mod:`repro.engine.batch`;
 * **workspace reuse** -- :class:`~repro.engine.workspace.SolveWorkspace`
   chain/Poisson cache accounting;
 * **sweep driver** -- :func:`~repro.engine.sweep.run_sweep` aggregates;
@@ -56,7 +57,6 @@ DIAGNOSTICS_SCHEMA = {
     "wall_seconds": "wall-clock seconds of the producing call",
     "backend": "chain backend that solved (assembled/matrix-free/lumped)",
     # -- transient fast-path telemetry (transient_diagnostics) ----------
-    "transient_mode": "incremental or single-pass propagation",
     "n_segments": "Poisson-window segments of the incremental chain",
     "iterations_saved": "products avoided by steady-state detection",
     "steady_state_time": "detected steady-state time (None if not reached)",
@@ -82,7 +82,7 @@ DIAGNOSTICS_SCHEMA = {
     # -- auto dispatch --------------------------------------------------
     "auto_dispatched_to": "concrete solver the auto method selected",
     # -- scenario batching (ScenarioBatch) ------------------------------
-    "batched": "whether the result came from a stacked batch solve",
+    "batched": "whether the result came from a multi-member group solve",
     "batch_size": "scenarios sharing the batch's chain",
     "batch_rows": "stacked initial-distribution rows of the batch",
     "n_scenarios": "scenarios in the batch/sweep",

@@ -65,15 +65,6 @@ class LifetimeProblem:
         Optional per-run horizon for the Monte-Carlo solver.
     label:
         Optional curve label attached to the resulting distribution.
-    transient_mode:
-        Evaluation strategy of the uniformisation-based solvers:
-        ``"incremental"`` (default; segment chaining with steady-state
-        detection) or ``"single-pass"`` (the classical shared sweep, kept
-        for cross-checks).  Both strategies agree within ``epsilon``, so
-        the mode is deliberately *excluded* from :meth:`chain_key` and the
-        sweep-cache fingerprints -- run cross-checks without a sweep
-        cache, or the second mode is answered from the first mode's
-        entries.
     """
 
     workload: WorkloadModel
@@ -85,7 +76,6 @@ class LifetimeProblem:
     seed: int = 20070625
     horizon: float | None = None
     label: str | None = None
-    transient_mode: str = "incremental"
     metadata: dict[str, Any] = field(default_factory=dict, compare=False)
 
     def __post_init__(self) -> None:
@@ -111,13 +101,6 @@ class LifetimeProblem:
             raise ValueError("epsilon must be positive")
         if self.n_runs < 1:
             raise ValueError("n_runs must be at least 1")
-        from repro.markov.uniformization import TRANSIENT_MODES
-
-        if self.transient_mode not in TRANSIENT_MODES:
-            raise ValueError(
-                f"unknown transient mode {self.transient_mode!r}; expected one "
-                f"of {TRANSIENT_MODES}"
-            )
 
     # ------------------------------------------------------------------
     @property
@@ -187,10 +170,6 @@ class LifetimeProblem:
     def with_label(self, label: str | None) -> "LifetimeProblem":
         """Return a copy with a different curve label."""
         return replace(self, label=label)
-
-    def with_transient_mode(self, transient_mode: str) -> "LifetimeProblem":
-        """Return a copy with a different uniformisation strategy."""
-        return replace(self, transient_mode=transient_mode)
 
     # ------------------------------------------------------------------
     def workload_fingerprint(self) -> tuple[Any, ...]:

@@ -30,6 +30,7 @@ import numpy as np
 from repro import obs
 from repro.analysis.distribution import LifetimeDistribution
 from repro.battery.kibam import KineticBatteryModel
+from repro.core.discretization import DiscretizedKiBaMRM, place_initial_distribution
 from repro.engine.base import UnsupportedProblemError
 from repro.engine.problem import LifetimeProblem
 from repro.engine.result import LifetimeResult
@@ -43,7 +44,9 @@ from repro.simulation.lifetime_sim import (
 )
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.checking.protocols import DiscretizedChain
+    from collections.abc import Sequence
+
+    from repro.checking.protocols import DiscretizedChain, FloatArray
     from repro.markov.uniformization import BatchTransientResult, UniformizationResult
 
 __all__ = [
@@ -105,15 +108,13 @@ def transient_diagnostics(
 ) -> dict[str, Any]:
     """Diagnostics entries describing one uniformisation transient solve.
 
-    Shared by the individual MRM solver and the batched scenario runner so
-    both report the fast-path telemetry (mode, segment count, steady-state
-    detection point and the products it saved) under the same keys,
-    together with the process-global Poisson weight-cache counters.
+    Reports the fast-path telemetry (segment count, steady-state detection
+    point and the products it saved) together with the process-global
+    Poisson weight-cache counters.
     """
     from repro.markov.poisson import poisson_cache_diagnostics
 
     return {
-        "transient_mode": transient.mode,
         "n_segments": transient.n_segments,
         "iterations_saved": transient.iterations_saved,
         "steady_state_time": transient.steady_state_time,
@@ -131,11 +132,7 @@ def build_mrm_result(
     iterations: int,
     extra_diagnostics: dict[str, Any] | None = None,
 ) -> LifetimeResult:
-    """Package one MRM solution as a :class:`LifetimeResult`.
-
-    Shared by the individual solver and the batched scenario runner so the
-    two paths report identical metadata and diagnostics.
-    """
+    """Package one group member's MRM solution as a :class:`LifetimeResult`."""
     delta = problem.effective_delta
     shared = {
         "delta": delta,
@@ -226,7 +223,12 @@ class AnalyticSolver:
 
 
 class MRMUniformizationSolver:
-    """The paper's Markovian approximation on the expanded sparse CTMC."""
+    """The paper's Markovian approximation on the expanded sparse CTMC.
+
+    Every MRM solve is a chain-group solve (:meth:`solve_group`): a single
+    problem is a group of one, and :class:`~repro.engine.batch.ScenarioBatch`
+    hands over the groups :func:`~repro.engine.batch.chain_merge_key` forms.
+    """
 
     name = "mrm-uniformization"
 
@@ -236,40 +238,83 @@ class MRMUniformizationSolver:
     def solve(
         self, problem: LifetimeProblem, *, workspace: SolveWorkspace | None = None
     ) -> LifetimeResult:
-        started = obs.now()
         ws = workspace if workspace is not None else SolveWorkspace()
-        delta = problem.effective_delta
-        backend, build_key = _backend_and_key(problem, delta)
-        with obs.span("solve", method=self.name, label=problem.label or ""):
-            chain = ws.discretized(problem.model(), delta, build_key, backend=backend)
-            propagator = ws.propagator(chain, build_key)
-            with obs.span("transient", mode=problem.transient_mode):
+        return self.solve_group([problem], ws)[0]
+
+    def solve_group(
+        self, group: Sequence[LifetimeProblem], workspace: SolveWorkspace
+    ) -> list[LifetimeResult]:
+        """Solve a chain-sharing group of problems in one blocked pass.
+
+        The members must share one :func:`~repro.engine.batch.chain_merge_key`.
+        The chain is built for the member with the largest capacity; every
+        other member is the same chain started at a lower level (see
+        :mod:`repro.engine.batch` for why that merge is exact).  Members
+        with the same start differ only in time grid and label, so their
+        rows are deduplicated and each distinct start is propagated once,
+        over the union of the members' grids.
+        """
+        started = obs.now()
+        anchor = max(group, key=lambda problem: problem.battery.capacity)
+        delta = anchor.effective_delta
+        backend, build_key = _backend_and_key(anchor, delta)
+        with obs.span("solve", method=self.name, label=anchor.label or "", size=len(group)):
+            chain = workspace.discretized(anchor.model(), delta, build_key, backend=backend)
+            propagator = workspace.propagator(chain, build_key)
+            unique_rows: dict[bytes, int] = {}
+            row_of: list[int] = []
+            stack: list[FloatArray] = []
+            for problem in group:
+                vector = _initial_vector(chain, problem)
+                row = unique_rows.setdefault(vector.tobytes(), len(stack))
+                if row == len(stack):
+                    stack.append(vector)
+                row_of.append(row)
+            merged_times = np.unique(np.concatenate([problem.times for problem in group]))
+            with obs.span("transient", rows=len(stack)):
                 transient = propagator.transient_batch(
-                    chain.initial_distribution[None, :],
-                    problem.times,
-                    epsilon=problem.epsilon,
-                    projection=ws.empty_projection(chain, build_key),
-                    mode=problem.transient_mode,
+                    np.stack(stack),
+                    merged_times,
+                    epsilon=float(anchor.epsilon),
+                    projection=workspace.empty_projection(chain, build_key),
                 )
-        ws.note_steady_state(problem.chain_key(), transient.steady_state_time)
+        # Steady-state notes key on the physical chain (the flattening time
+        # is backend-independent), not on the workspace build key.
+        workspace.note_steady_state(anchor.chain_key(), transient.steady_state_time)
         elapsed = obs.now() - started
-        obs.count("solves." + self.name)
+        obs.count("solves." + self.name, len(group))
         if transient.steady_state_time is not None:
             obs.count("steady_state_detections")
         obs.observe("solve_seconds." + self.name, elapsed)
-        extra = {} if backend is None else {"backend": backend}
-        return build_mrm_result(
-            problem,
-            chain,
-            transient.values[0],
-            rate=transient.rate,
-            iterations=transient.iterations,
-            extra_diagnostics={
-                **transient_diagnostics(transient),
-                **extra,
-                "wall_seconds": elapsed,
-            },
-        )
+
+        extra: dict[str, Any] = {**transient_diagnostics(transient)}
+        if backend is not None:
+            extra["backend"] = backend
+        if len(group) > 1:
+            extra.update(batched=True, batch_size=len(group), batch_rows=len(stack))
+        extra["wall_seconds"] = elapsed
+        return [
+            build_mrm_result(
+                problem,
+                chain,
+                transient.values[row, np.searchsorted(merged_times, problem.times)],
+                rate=transient.rate,
+                iterations=transient.iterations,
+                extra_diagnostics=extra,
+            )
+            for problem, row in zip(group, row_of)
+        ]
+
+
+def _initial_vector(chain: DiscretizedKiBaMRM, problem: LifetimeProblem) -> FloatArray:
+    """Place the workload's initial law at the problem's charge levels."""
+    if problem.is_multibattery:
+        # Bank problems only merge on identical chain keys, so every group
+        # member starts from the chain's own initial vector (the
+        # full-charge product cell).
+        return np.asarray(chain.initial_distribution, dtype=float)
+    available0, bound0 = problem.model().initial_rewards
+    return place_initial_distribution(chain.grid, problem.workload, available0, bound0)
 
 
 #: Safety factor applied on top of a detected steady-state time before it

@@ -125,20 +125,18 @@ def scenario_fingerprint(problem: LifetimeProblem, method: str) -> str:
     name (resolve ``"auto"`` with
     :func:`~repro.engine.solvers.choose_method` first), otherwise the same
     scenario solved via ``auto`` and via its concrete solver would be cached
-    twice.  The uniformisation ``transient_mode`` is deliberately *not*
-    part of the key: both strategies agree within ``epsilon``, so switching
-    the mode must not invalidate the deterministic cache.  The
-    multi-battery product-chain ``backend`` (assembled / matrix-free /
-    lumped) is excluded for the same reason -- every backend computes the
-    same lifetime law.  The execution-policy knobs of
-    :class:`~repro.engine.executor.ExecutionPolicy` (retries, timeouts,
-    failure mode) are likewise excluded: *how hard* the driver tried
-    cannot change the curve, and a retried scenario must hit the cache
-    entry its first attempt would have written (the RPR003 registry audit
-    asserts this exclusion).  The flip side:
-    a sweep meant to *cross-check* the two modes (or two backends) against
-    each other must run with ``cache=None`` (or distinct caches), otherwise
-    the second run is served the first run's cached results verbatim.
+    twice.  The multi-battery product-chain ``backend`` (assembled /
+    matrix-free / lumped) is deliberately *not* part of the key: every
+    backend computes the same lifetime law within ``epsilon``, so switching
+    it must not invalidate the deterministic cache.  The execution-policy
+    knobs of :class:`~repro.engine.executor.ExecutionPolicy` (retries,
+    timeouts, failure mode) are likewise excluded: *how hard* the driver
+    tried cannot change the curve, and a retried scenario must hit the
+    cache entry its first attempt would have written (the RPR003 registry
+    audit asserts this exclusion).  The flip side: a sweep meant to
+    *cross-check* two backends against each other must run with
+    ``cache=None`` (or distinct caches), otherwise the second run is served
+    the first run's cached results verbatim.
     """
     if str(method) in DETERMINISTIC_METHODS:
         stochastic_knobs: tuple[Any, ...] = ()
@@ -432,15 +430,11 @@ class SweepSpec:
         Base seed; every scenario receives its own child seed via
         :func:`~repro.simulation.rng.spawn_seeds`, in scenario order, so
         stochastic solvers are reproducible independent of worker count.
-    transient_mode:
-        Uniformisation strategy shared by every scenario
-        (``"incremental"`` or ``"single-pass"``); excluded from the cache
-        fingerprints, which stay stable across modes.
     execution:
         Optional :class:`~repro.engine.executor.ExecutionPolicy` (retries,
         per-chunk timeout, backoff, failure mode) applied when the spec is
-        run; like ``transient_mode``, excluded from the cache fingerprints
-        -- how a result was obtained cannot change it.
+        run; excluded from the cache fingerprints -- how a result was
+        obtained cannot change it.
     trace:
         Optional declarative trace mode (``"off"``, ``"summary"`` or
         ``"full"``) scoped to this spec's run via
@@ -461,7 +455,6 @@ class SweepSpec:
     n_runs: int = 1000
     horizon: float | None = None
     seed: int = DEFAULT_SEED
-    transient_mode: str = "incremental"
     execution: ExecutionPolicy | None = None
     trace: str | None = None
 
@@ -528,7 +521,6 @@ class SweepSpec:
                                 n_runs=int(self.n_runs),
                                 seed=seeds[len(problems)],
                                 horizon=self.horizon,
-                                transient_mode=self.transient_mode,
                             )
                             if isinstance(bank, KiBaMParameters):
                                 label = (

@@ -208,8 +208,9 @@ def shared_poisson_windows(
 ) -> tuple[PoissonWeights, ...]:
     """Poisson windows for a whole time grid from ONE shared table.
 
-    The single-pass transient sweep needs one truncated Poisson window per
-    requested time point, all at the same *epsilon*.  Computing each with
+    The reference sweep :func:`repro.markov.transient.single_pass_transient`
+    needs one truncated Poisson window per requested time point, all at the
+    same *epsilon*.  Computing each with
     :func:`fox_glynn` rematerialises the weight recursion per window --
     ``O(sum_j sqrt(r_j))`` sequential Python steps.  But at equal epsilon
     the windows are *nested*: every window is a slice of the widest one,
@@ -293,8 +294,8 @@ def poisson_cache_diagnostics() -> dict[str, int]:
     One flat dict combining the per-window memo
     (:func:`cached_poisson_weights`, used by the incremental segment
     chain) and the shared-table memo (:func:`shared_poisson_windows`,
-    used by the single-pass sweep).  Merged into the transient
-    diagnostics of the engine's solver results.
+    used by the reference sweep ``single_pass_transient``).  Merged into
+    the transient diagnostics of the engine's solver results.
     """
     window = cached_poisson_weights.cache_info()
     shared = shared_poisson_windows.cache_info()

@@ -9,35 +9,28 @@ the uniformised DTMC matrix ``P = I + Q/q``:
    \\pi(t) \\;=\\; \\sum_{n=0}^{\\infty}
         e^{-qt} \\frac{(qt)^n}{n!} \\; \\alpha P^n .
 
-The implementation supports **many output time points** and two evaluation
-strategies, selected with the ``mode`` argument of the solve calls:
+The implementation supports **many output time points** through one
+evaluation strategy: the time grid is sorted and deduplicated, and
+``pi(t_j)`` is propagated from ``pi(t_{j-1})`` with Poisson rate
+``q (t_j - t_{j-1})``, so the work per segment scales with the *gap*
+between neighbouring time points instead of restarting from ``t = 0`` for
+the largest time.  On top of that, the iteration monitors the per-step
+change ``||v P - v||_1``: once the distribution stops changing (for the
+battery chains this happens shortly after depletion, because the empty
+states are absorbing) the remaining Poisson tail -- and every remaining
+segment -- collapses to a closed-form completion.  Because ``P`` is
+row-stochastic the 1-norm change is non-increasing, so the detection
+threshold (half the truncation bound divided by the number of remaining
+products, the other half being spent on the window truncations) keeps the
+total per-point error below ``epsilon``.  Long horizons after depletion
+become nearly free; the savings are reported in the result's
+``iterations_saved`` / ``steady_state_time`` diagnostics.
 
-* ``"incremental"`` (the default) sorts and deduplicates the time grid and
-  propagates ``pi(t_j)`` from ``pi(t_{j-1})`` with Poisson rate
-  ``q (t_j - t_{j-1})``, so the work per segment scales with the *gap*
-  between neighbouring time points instead of restarting from ``t = 0``
-  for the largest time.  On top of that, the iteration monitors the
-  per-step change ``||v P - v||_1``: once the distribution stops changing
-  (for the battery chains this happens shortly after depletion, because
-  the empty states are absorbing) the remaining Poisson tail -- and every
-  remaining segment -- collapses to a closed-form completion.  Because
-  ``P`` is row-stochastic the 1-norm change is non-increasing, so the
-  default detection threshold (half the truncation bound divided by the
-  number of remaining products, the other half being spent on the window
-  truncations) keeps the total per-point error below ``epsilon``.  Long horizons after
-  depletion become nearly free; the savings are reported in the result's
-  ``iterations_saved`` / ``steady_state_time`` diagnostics.
-* ``"single-pass"`` is the classical multi-time-point sweep: the vector
-  sequence ``v_n = alpha P^n`` is generated once, up to the largest right
-  truncation point, and every requested time point accumulates the terms
-  that fall inside its own Poisson window.  It is kept as a cross-check
-  baseline for the incremental path (and for callers that prefer the
-  single shared error bound per time point).
-
-Both paths share the same vectorised weight accumulation: the per-iteration
-work touches only the windows that are active at term ``n`` (one fancy-index
-lookup into the concatenated weight table), and projection products are
-skipped entirely before the first active window.
+The classical detection-free sweep (``v_n = alpha P^n`` generated once up
+to the largest right truncation point, every time point accumulating the
+terms inside its own Poisson window) is not a solve path: it is the
+cross-check reference :func:`repro.markov.transient.single_pass_transient`
+that tests and benchmarks compare against.
 
 Two further reuse levers are exposed for the engine layer:
 
@@ -65,12 +58,7 @@ from repro.checking.protocols import FloatArray
 from repro.markov import kernels
 from repro.markov.generator import as_csr, validate_generator
 from repro.markov.kronecker import KroneckerGenerator, UniformizedOperator
-from repro.markov.poisson import (
-    PoissonWeights,
-    cached_poisson_weights,
-    shared_poisson_windows,
-    truncation_points,
-)
+from repro.markov.poisson import cached_poisson_weights, truncation_points
 from repro.markov.validate import check_generator
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -92,9 +80,6 @@ __all__ = [
 #: iteration aperiodic and numerically benign.
 RATE_SAFETY_FACTOR = 1.02
 
-#: The supported evaluation strategies of the transient solvers.
-TRANSIENT_MODES = ("incremental", "single-pass")
-
 
 @dataclass
 class UniformizationResult:
@@ -113,8 +98,6 @@ class UniformizationResult:
         Number of vector--matrix products that were performed.
     truncation_error:
         Upper bound on the neglected Poisson mass, per time point.
-    mode:
-        Evaluation strategy (``"incremental"`` or ``"single-pass"``).
     iterations_saved:
         Vector--matrix products avoided by steady-state detection.
     steady_state_time:
@@ -129,7 +112,6 @@ class UniformizationResult:
     rate: float
     iterations: int
     truncation_error: FloatArray
-    mode: str = "incremental"
     iterations_saved: int = 0
     steady_state_time: float | None = None
     steady_state_iteration: int | None = None
@@ -160,11 +142,8 @@ class BatchTransientResult:
     iterations:
         Number of block--matrix products that were performed.
     truncation_error:
-        Upper bound on the neglected Poisson mass, per time point.  For the
-        incremental mode this bound is cumulative over the segment chain up
-        to each time point.
-    mode:
-        Evaluation strategy (``"incremental"`` or ``"single-pass"``).
+        Upper bound on the neglected Poisson mass, per time point,
+        cumulative over the segment chain up to each time point.
     n_segments:
         Number of distinct propagation segments (deduplicated time points).
     iterations_saved:
@@ -182,7 +161,6 @@ class BatchTransientResult:
     rate: float
     iterations: int
     truncation_error: FloatArray
-    mode: str = "incremental"
     n_segments: int = 0
     iterations_saved: int = 0
     steady_state_time: float | None = None
@@ -326,23 +304,6 @@ class TransientPropagator:
                 raise ValueError("initial distribution has negative entries")
 
     @staticmethod
-    def _windows(rate: float, times: FloatArray, epsilon: float) -> list[PoissonWeights]:
-        # One shared, tilted weight table for the whole grid instead of a
-        # per-window Fox--Glynn recursion; see shared_poisson_windows.
-        rates = tuple(rate * float(t) for t in times)
-        return list(shared_poisson_windows(rates, float(epsilon)))
-
-    @staticmethod
-    def _allocate(
-        n_batch: int, n_times: int, n_states: int, proj: FloatArray | None
-    ) -> FloatArray:
-        if proj is None:
-            return np.zeros((n_batch, n_times, n_states))
-        if proj.ndim == 1:
-            return np.zeros((n_batch, n_times))
-        return np.zeros((n_batch, n_times, proj.shape[1]))
-
-    @staticmethod
     def _store(
         results: FloatArray,
         index: int | FloatArray,
@@ -359,26 +320,16 @@ class TransientPropagator:
         *,
         epsilon: float = 1e-10,
         callback: Callable[[int, int], None] | None = None,
-        mode: str = "incremental",
-        steady_state_tol: float | None = None,
     ) -> UniformizationResult:
         """Compute transient state distributions at one or more time points."""
         alpha = np.asarray(initial_distribution, dtype=float).ravel()
-        batch = self.transient_batch(
-            alpha[None, :],
-            times,
-            epsilon=epsilon,
-            callback=callback,
-            mode=mode,
-            steady_state_tol=steady_state_tol,
-        )
+        batch = self.transient_batch(alpha[None, :], times, epsilon=epsilon, callback=callback)
         return UniformizationResult(
             times=batch.times,
             distributions=batch.values[0],
             rate=batch.rate,
             iterations=batch.iterations,
             truncation_error=batch.truncation_error,
-            mode=batch.mode,
             iterations_saved=batch.iterations_saved,
             steady_state_time=batch.steady_state_time,
             steady_state_iteration=batch.steady_state_iteration,
@@ -392,10 +343,18 @@ class TransientPropagator:
         epsilon: float = 1e-10,
         projection: npt.ArrayLike | None = None,
         callback: Callable[[int, int], None] | None = None,
-        mode: str = "incremental",
-        steady_state_tol: float | None = None,
     ) -> BatchTransientResult:
         """Propagate a stack of initial distributions in one shared pass.
+
+        The segments ``pi(t_{j-1}) -> pi(t_j)`` are chained with
+        steady-state detection (see the module docstring).  The detector's
+        per-step 1-norm threshold is derived from the remaining product
+        budget so that the accumulated detection error stays below half of
+        *epsilon* (the other half covers the window truncations): because
+        ``P`` is row-stochastic the 1-norm of the per-step change never
+        grows, so freezing after a step change below
+        ``budget / products_remaining`` bounds the total drift by the
+        budget.
 
         Parameters
         ----------
@@ -410,7 +369,7 @@ class TransientPropagator:
             caller's order.
         epsilon:
             Bound on the truncation error per time point (cumulative along
-            the segment chain in incremental mode).
+            the segment chain).
         projection:
             Optional vector ``(n_states,)`` or matrix ``(n_states, m)``.
             When given, only the projected quantities (for example the
@@ -419,32 +378,12 @@ class TransientPropagator:
             ``K x T x n`` to ``K x T (x m)``.
         callback:
             Optional ``callback(iteration, total_iterations)`` hook, invoked
-            every 1000 block products (``total_iterations`` is an estimate
-            in incremental mode).
-        mode:
-            ``"incremental"`` (default) or ``"single-pass"``; see the module
-            docstring.
-        steady_state_tol:
-            Per-step 1-norm threshold of the steady-state detector
-            (incremental mode only).  By default the threshold is derived
-            from the remaining product budget so that the accumulated
-            detection error stays below half of *epsilon* (the other half
-            covers the window truncations): because ``P`` is
-            row-stochastic the 1-norm of the per-step change never grows,
-            so freezing after a step change below
-            ``budget / products_remaining`` bounds the total drift by
-            the budget.  Pass an explicit value to override the budget
-            (looser values detect earlier at reduced accuracy), or ``0``
-            to disable detection.
+            every 1000 block products (``total_iterations`` is an estimate).
 
         Returns
         -------
         BatchTransientResult
         """
-        if mode not in TRANSIENT_MODES:
-            raise ValueError(
-                f"unknown transient mode {mode!r}; expected one of {TRANSIENT_MODES}"
-            )
         times_array = np.atleast_1d(np.asarray(times, dtype=float))
         if times_array.ndim != 1:
             raise ValueError("time points must form a one-dimensional grid")
@@ -463,133 +402,36 @@ class TransientPropagator:
                 )
 
         # Deduplicate and sort once: repeated time points share one Poisson
-        # window, and the incremental chain requires ascending segments.
+        # window, and the segment chain requires ascending segments.
         unique_times, inverse = np.unique(times_array, return_inverse=True)
-
-        if mode == "single-pass":
-            solved = self._single_pass(alphas, unique_times, epsilon, proj, callback)
-        else:
-            solved = self._incremental(
-                alphas, unique_times, epsilon, proj, callback, steady_state_tol
-            )
-
-        return BatchTransientResult(
-            times=times_array,
-            values=solved.values[:, inverse],
-            rate=self._rate,
-            iterations=solved.iterations,
-            truncation_error=solved.truncation_error[inverse],
-            mode=mode,
-            n_segments=int(unique_times.size),
-            iterations_saved=solved.iterations_saved,
-            steady_state_time=solved.steady_state_time,
-            steady_state_iteration=solved.steady_state_iteration,
-        )
-
-    # ------------------------------------------------------------------
-    def _single_pass(
-        self,
-        alphas: FloatArray,
-        unique_times: FloatArray,
-        epsilon: float,
-        proj: FloatArray | None,
-        callback: Callable[[int, int], None] | None,
-    ) -> _SolvedGrid:
-        """One shared sweep ``v_n = alpha P^n`` feeding every time window."""
-        n_batch = alphas.shape[0]
-        windows = self._windows(self._rate, unique_times, epsilon)
-        lefts = np.array([window.left for window in windows], dtype=np.int64)
-        rights = np.array([window.right for window in windows], dtype=np.int64)
-        max_right = int(rights.max())
-        min_left = int(lefts.min())
-        truncation_error = np.array(
-            [max(0.0, 1.0 - window.total) for window in windows]
-        )
-
-        # Concatenated weight table: the weight of window j at term n is
-        # weight_table[offsets[j] + n] whenever lefts[j] <= n <= rights[j],
-        # which turns the per-iteration window loop into one fancy-index
-        # gather over the active windows.
-        sizes = rights - lefts + 1
-        starts = np.concatenate(([0], np.cumsum(sizes)[:-1]))
-        offsets = starts - lefts
-        weight_table = np.concatenate([window.weights for window in windows])
-
-        results = self._allocate(n_batch, unique_times.size, self.n_states, proj)
-        spmm = self._kernel.spmm
-        block = alphas.copy()
-        with obs.detail_span("single_pass", max_right=max_right):
-            for n in range(max_right + 1):
-                # Projection products (and window updates) are skipped
-                # entirely before the first active window.
-                if n >= min_left:
-                    active = np.nonzero((lefts <= n) & (n <= rights))[0]
-                    if active.size:
-                        weights = weight_table[offsets[active] + n]
-                        contribution = block if proj is None else block @ proj
-                        if contribution.ndim == 1:
-                            results[:, active] += (
-                                contribution[:, None] * weights[None, :]
-                            )
-                        else:
-                            results[:, active] += (
-                                weights[None, :, None] * contribution[:, None, :]
-                            )
-                if n == max_right:
-                    break
-                block = spmm(block)
-                if callback is not None and n % 1000 == 0:
-                    callback(n, max_right)
-
-        return _SolvedGrid(
-            values=results,
-            iterations=max_right,
-            truncation_error=truncation_error,
-        )
-
-    def _incremental(
-        self,
-        alphas: FloatArray,
-        unique_times: FloatArray,
-        epsilon: float,
-        proj: FloatArray | None,
-        callback: Callable[[int, int], None] | None,
-        steady_state_tol: float | None,
-    ) -> _SolvedGrid:
-        """Chain segments ``pi(t_{j-1}) -> pi(t_j)`` with steady-state detection."""
-        n_batch = alphas.shape[0]
         n_times = unique_times.size
-        # Split the error budget over the chained segments: every segment
-        # contributes at most one window truncation to each later time point.
         # Half of the error budget goes to the window truncations (split
-        # across the chained segments), the other half to the steady-state
-        # detection drift, so the two mechanisms together stay below the
-        # caller's epsilon.
+        # across the chained segments: every segment contributes at most one
+        # window truncation to each later time point), the other half to the
+        # steady-state detection drift, so the two mechanisms together stay
+        # below the caller's epsilon.
         segment_epsilon = 0.5 * float(epsilon) / max(1, n_times)
         detection_budget = 0.5 * float(epsilon)
-        fixed_tol = None if steady_state_tol is None else float(steady_state_tol)
 
         gaps = np.diff(unique_times, prepend=0.0)
-        if fixed_tol is None:
-            # Upper bound on the products each segment can perform: the
-            # Fox--Glynn right truncation point (the realised window can
-            # only be trimmed smaller).  The suffix sums turn the
-            # detection threshold into a per-segment budget that soundly
-            # covers every remaining product of the whole horizon.
-            planned_products = np.array(
-                [
-                    truncation_points(self._rate * float(gap), segment_epsilon)[1]
-                    if gap > 0.0
-                    else 0
-                    for gap in gaps
-                ],
-                dtype=np.int64,
-            )
-            products_after = np.concatenate(
-                (np.cumsum(planned_products[::-1])[::-1][1:], [0])
-            )
+        # Upper bound on the products each segment can perform: the
+        # Fox--Glynn right truncation point (the realised window can only be
+        # trimmed smaller).  The suffix sums turn the detection threshold
+        # into a per-segment budget that soundly covers every remaining
+        # product of the whole horizon.
+        planned_products = np.array(
+            [
+                truncation_points(self._rate * float(gap), segment_epsilon)[1]
+                if gap > 0.0
+                else 0
+                for gap in gaps
+            ],
+            dtype=np.int64,
+        )
+        products_after = np.concatenate((np.cumsum(planned_products[::-1])[::-1][1:], [0]))
 
-        results = self._allocate(n_batch, n_times, self.n_states, proj)
+        tail = (self.n_states,) if proj is None else proj.shape[1:]
+        results = np.zeros((alphas.shape[0], n_times, *tail))
         truncation_error = np.zeros(n_times)
 
         current = alphas.copy()
@@ -623,16 +465,12 @@ class TransientPropagator:
                 continue
 
             window = cached_poisson_weights(self._rate * gap, segment_epsilon)
-            if fixed_tol is None:
-                # Budgeted tolerance: P is row-stochastic, so the 1-norm of
-                # the per-step change never grows; once one step changes by
-                # less than budget / products_remaining, freezing the
-                # distribution keeps the accumulated drift below the
-                # detection budget over the whole remaining horizon.
-                products_remaining = window.right + int(products_after[j])
-                tol = detection_budget / max(1.0, float(products_remaining))
-            else:
-                tol = fixed_tol
+            # Budgeted tolerance: once one step changes by less than
+            # budget / products_remaining, freezing the distribution keeps
+            # the accumulated drift below the detection budget over the
+            # whole remaining horizon.
+            products_remaining = window.right + int(products_after[j])
+            tol = detection_budget / max(1.0, float(products_remaining))
             # The segment's products, weighted accumulation and
             # steady-state change tracking all run inside the kernel.
             progress: Callable[[int], None] | None = None
@@ -676,26 +514,17 @@ class TransientPropagator:
             self._store(results, j, current, proj)
             truncation_error[j] = error_bound
 
-        return _SolvedGrid(
-            values=results,
+        return BatchTransientResult(
+            times=times_array,
+            values=results[:, inverse],
+            rate=self._rate,
             iterations=performed,
-            truncation_error=truncation_error,
+            truncation_error=truncation_error[inverse],
+            n_segments=int(n_times),
             iterations_saved=saved,
             steady_state_time=steady_state_time,
             steady_state_iteration=steady_state_iteration,
         )
-
-
-@dataclass
-class _SolvedGrid:
-    """Internal carrier for a solve over the deduplicated, sorted grid."""
-
-    values: FloatArray
-    iterations: int
-    truncation_error: FloatArray
-    iterations_saved: int = 0
-    steady_state_time: float | None = None
-    steady_state_iteration: int | None = None
 
 
 def uniformized_transient(
@@ -707,8 +536,6 @@ def uniformized_transient(
     rate: float | None = None,
     validate: bool = True,
     callback: Callable[[int, int], None] | None = None,
-    mode: str = "incremental",
-    steady_state_tol: float | None = None,
 ) -> UniformizationResult:
     """Compute transient state distributions at one or more time points.
 
@@ -719,11 +546,4 @@ def uniformized_transient(
     and re-uniformisation of the generator on every call.
     """
     propagator = TransientPropagator(generator, rate=rate, validate=validate)
-    return propagator.transient(
-        initial_distribution,
-        times,
-        epsilon=epsilon,
-        callback=callback,
-        mode=mode,
-        steady_state_tol=steady_state_tol,
-    )
+    return propagator.transient(initial_distribution, times, epsilon=epsilon, callback=callback)

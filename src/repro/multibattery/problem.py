@@ -52,8 +52,7 @@ class MultiBatteryProblem(LifetimeProblem):
     """One system-lifetime question over a bank of batteries.
 
     In addition to the single-battery knobs (inherited -- ``times``,
-    ``delta``, ``epsilon``, ``n_runs``, ``seed``, ``horizon``, ``label``,
-    ``transient_mode``):
+    ``delta``, ``epsilon``, ``n_runs``, ``seed``, ``horizon``, ``label``):
 
     Attributes
     ----------
@@ -80,10 +79,10 @@ class MultiBatteryProblem(LifetimeProblem):
         permutation-symmetry quotient for identical-battery banks), or
         ``"auto"`` (the default; resolved from bank size and symmetry via
         :meth:`~repro.multibattery.system.MultiBatterySystem.resolve_backend`).
-        All backends agree within the solver's ``epsilon``, so -- like
-        ``transient_mode`` -- the backend is *excluded* from
-        :meth:`chain_key` and hence from the sweep-cache fingerprints;
-        cross-check runs between backends need distinct caches.
+        All backends agree within the solver's ``epsilon``, so the backend
+        is *excluded* from :meth:`chain_key` and hence from the
+        sweep-cache fingerprints; cross-check runs between backends need
+        distinct caches.
     """
 
     # The bank widens the inherited scalar fields to optional: the first

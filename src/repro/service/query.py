@@ -40,7 +40,6 @@ _OPTIONAL_FIELDS = (
     ("n_runs", int),
     ("seed", int),
     ("horizon", float),
-    ("transient_mode", str),
 )
 
 #: Every top-level key :meth:`LifetimeQuery.from_mapping` understands.

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro import obs
 from repro.battery.parameters import KiBaMParameters, rao_battery_parameters
 from repro.battery.profiles import ConstantLoad
 from repro.engine import (
@@ -308,6 +309,42 @@ class TestScenarioBatch:
         for problem, batched in zip(problems, outcome):
             single = solve_lifetime(problem, "mrm-uniformization")
             assert np.allclose(single.probabilities, batched.probabilities, atol=1e-12)
+
+    def test_merged_group_is_metered_and_traced_like_single_solves(self, onoff):
+        problems = [
+            LifetimeProblem(
+                workload=onoff,
+                battery=KiBaMParameters(capacity=720.0, c=0.625, k=1e-3),
+                times=np.linspace(500.0, 3000.0, n),
+                delta=15.0,
+            )
+            for n in (5, 9, 13)
+        ]
+        with obs.override_metrics() as registry, obs.override_trace("summary") as tracer:
+            outcome = ScenarioBatch(problems).run("mrm-uniformization")
+        assert outcome.diagnostics["merged_groups"] == 1
+        metrics = registry.snapshot()
+        # One count per scenario answered, one timing per blocked solve.
+        assert metrics["counters"]["solves.mrm-uniformization"] == 3
+        assert metrics["histograms"]["solve_seconds.mrm-uniformization"]["count"] == 1
+        assert tracer is not None
+        spans = {span.name: span for span in tracer.spans()}
+        assert spans["transient"].parent_id == spans["solve"].span_id
+        assert spans["chain_build"].parent_id == spans["solve"].span_id
+
+    @pytest.mark.parametrize("c, k", [(0.625, 1e-3), (1.0, 0.0)])
+    def test_one_member_batch_equals_single_solve(self, onoff, c, k):
+        problem = LifetimeProblem(
+            workload=onoff,
+            battery=KiBaMParameters(capacity=720.0, c=c, k=k),
+            times=np.linspace(500.0, 3000.0, 11),
+            delta=15.0,
+        )
+        single = solve_lifetime(problem, "mrm-uniformization")
+        (batched,) = ScenarioBatch([problem]).run("mrm-uniformization")
+        np.testing.assert_array_equal(single.probabilities, batched.probabilities)
+        assert single.diagnostics.keys() == batched.diagnostics.keys()
+        assert "batched" not in batched.diagnostics
 
     def test_over_deltas_labels(self, onoff):
         base = LifetimeProblem(

@@ -2,10 +2,10 @@
 
 Covers :mod:`repro.markov.kernels` -- the segment loop's steady-state
 detection contract -- plus hypothesis property tests asserting that the
-incremental and single-pass strategies produce identical transient
-distributions on random chains, that matrix-free product-chain operators
-match their assembled CSR counterparts, and the Poisson-cache accounting
-the kernel's solves report.
+incremental solve and the detection-free reference sweep produce identical
+transient distributions on random chains, that matrix-free product-chain
+operators match their assembled CSR counterparts, and the Poisson-cache
+accounting the kernel's solves report.
 """
 
 from __future__ import annotations
@@ -34,6 +34,7 @@ from repro.markov.poisson import (
     poisson_cache_diagnostics,
     shared_poisson_windows,
 )
+from repro.markov.transient import single_pass_transient
 from repro.markov.uniformization import TransientPropagator
 from repro.multibattery import MultiBatterySystem
 from repro.multibattery.policies import get_policy
@@ -147,7 +148,7 @@ class TestSegmentLoop:
 
 
 # ----------------------------------------------------------------------
-# Both evaluation strategies compute identical transient laws.
+# The incremental solve and the reference sweep compute identical laws.
 # ----------------------------------------------------------------------
 class TestKernelEquivalence:
     @settings(max_examples=15, deadline=None)
@@ -157,11 +158,9 @@ class TestKernelEquivalence:
         alpha[0] = 1.0
         times = np.array([1.0, 4.0, 16.0])
         propagator = TransientPropagator(generator)
-        incremental = propagator.transient(alpha, times, mode="incremental")
-        single = propagator.transient(alpha, times, mode="single-pass")
-        np.testing.assert_allclose(
-            incremental.distributions, single.distributions, atol=1e-10
-        )
+        incremental = propagator.transient(alpha, times)
+        single = single_pass_transient(propagator, alpha, times, epsilon=1e-10)
+        np.testing.assert_allclose(incremental.distributions, single.values[0], atol=1e-10)
 
 # ----------------------------------------------------------------------
 # Matrix-free operators: scipy kernel via __rmatmul__, fused uniformised apply.
@@ -323,8 +322,8 @@ class TestWorkspacePoissonAccounting:
     def test_mixed_mode_batch_reports_accurate_poisson_totals(self):
         clear_poisson_caches()
         problems = [
-            self._problem(transient_mode="incremental").with_label("incremental"),
-            self._problem(transient_mode="single-pass").with_label("single-pass"),
+            self._problem(epsilon=1e-8).with_label("epsilon=1e-8"),
+            self._problem(epsilon=1e-10).with_label("epsilon=1e-10"),
         ]
         with obs.override_metrics() as registry:
             workspace = SolveWorkspace()
@@ -332,7 +331,7 @@ class TestWorkspacePoissonAccounting:
             reported = workspace.diagnostics()
             counters = registry.snapshot()["counters"]
         assert len(outcome) == 2
-        # The two modes form two merge groups on the same chain; the totals
+        # The two epsilons form two merge groups on the same chain; the totals
         # the workspace reports are exactly what reached the registry,
         # despite the per-result diagnostics() calls in between.
         assert reported["poisson_cache_misses"] >= 1

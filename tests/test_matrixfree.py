@@ -28,6 +28,7 @@ from repro.markov.kronecker import (
     UniformizedOperator,
     assembled_csr_bytes,
 )
+from repro.markov.transient import single_pass_transient
 from repro.markov.uniformization import TransientPropagator
 from repro.multibattery import (
     MultiBatteryProblem,
@@ -209,12 +210,12 @@ class TestKroneckerOperator:
         np.testing.assert_allclose(solved_op.values, solved_ref.values, atol=1e-10)
         assert solved_op.steady_state_time is not None
         assert solved_op.iterations_saved > 0
-        single_pass = operator.transient_batch(
+        single_pass = single_pass_transient(
+            operator,
             matrix_free.initial_distribution[None, :],
             times,
             epsilon=1e-10,
             projection=projection,
-            mode="single-pass",
         )
         np.testing.assert_allclose(single_pass.values, solved_ref.values, atol=1e-8)
 

@@ -120,6 +120,7 @@ class TestLifetimeQuery:
             ({"kernel": "scipy"}, "kernel"),
             ({"epsilom": 1e-3}, "epsilom"),
             ({}, None),
+            ({"transient_mode": "single-pass"}, "transient_mode"),
         ],
     )
     def test_from_mapping_rejects_unknown_keys(self, extra, unknown) -> None:
