@@ -182,7 +182,7 @@ class _ReferenceUniformizedApply:
 def _incremental_cdf(apply, initial, times, rate, epsilon, projection):
     """Incremental transient CDF through an arbitrary uniformised apply.
 
-    Mirrors ``TransientPropagator._incremental`` step for step -- same
+    Mirrors ``TransientPropagator.transient_batch`` step for step -- same
     per-segment epsilon split, same budgeted steady-state tolerance, same
     shared segment loop -- so two operators run through it (or one through
     it and one through the production propagator) differ only by the
@@ -203,7 +203,13 @@ def _incremental_cdf(apply, initial, times, rate, epsilon, projection):
     products_after = np.concatenate((np.cumsum(planned[::-1])[::-1][1:], [0]))
 
     cdf = np.zeros(n_times)
-    current = np.atleast_2d(np.asarray(initial, dtype=float)).copy()
+    # The segment loop iterates state-major (n, 1) blocks; *apply* takes
+    # (K, n) blocks, hence the transposing adapter.
+    current = np.asarray(initial, dtype=float).reshape(-1, 1).copy()
+
+    def apply_into(x, out):
+        out.T[...] = apply(x.T)
+
     converged = False
     performed = 0
     for j in range(n_times):
@@ -213,14 +219,14 @@ def _incremental_cdf(apply, initial, times, rate, epsilon, projection):
             products_remaining = window.right + int(products_after[j])
             tol = detection_budget / max(1.0, float(products_remaining))
             segment = kernels.segment_python(
-                apply, current, window.weights, window.left, window.right, tol
+                apply_into, current, window.weights, window.left, window.right, tol
             )
             performed += segment.performed
             if segment.status == kernels.SEGMENT_START_INVARIANT:
                 converged = True
             else:
                 current = segment.accumulated
-        cdf[j] = float(current[0] @ projection)
+        cdf[j] = float(current[:, 0] @ projection)
     return cdf, performed
 
 

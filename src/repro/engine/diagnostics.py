@@ -91,6 +91,7 @@ DIAGNOSTICS_SCHEMA = {
     # -- workspace reuse ------------------------------------------------
     "chain_builds": "chains discretised by the workspace",
     "chain_build_hits": "chain builds served from the workspace cache",
+    "chain_evictions": "chains (with propagator and projection) the workspace LRU evicted",
     "poisson_cache_hits": "combined Poisson memo hits (both caches)",
     "poisson_cache_misses": "combined Poisson memo misses (both caches)",
     # -- sweep driver ---------------------------------------------------

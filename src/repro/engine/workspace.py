@@ -18,7 +18,10 @@ are handed the same workspace share
 
 Workspaces are cheap; :class:`~repro.engine.batch.ScenarioBatch` creates
 one per run, and callers doing manual sweeps can keep one alive for as long
-as the memory for the cached chains is acceptable.
+as the memory for the cached chains is acceptable.  A long-lived workspace
+(the lifetime-query service's) bounds that memory with ``max_states``: the
+least recently used chain is evicted together with its propagator and
+empty-state projection once the cached chains hold more states than that.
 """
 
 from __future__ import annotations
@@ -56,8 +59,13 @@ class SolveWorkspace:
     #: order-dependent, breaking the sweep cache's one-result-per-fingerprint
     #: contract.
     horizon_caps: bool = True
+    #: Bound on the states of all cached chains (``None``: unbounded).  The
+    #: most recently used chain is always kept, even when it alone exceeds
+    #: the bound.
+    max_states: int | None = None
     builds: int = 0
     build_hits: int = 0
+    evictions: int = 0
 
     def __post_init__(self) -> None:
         # Snapshot the process-global Poisson cache counters (both the
@@ -100,10 +108,27 @@ class SolveWorkspace:
             self.chains[key] = chain
             self.builds += 1
             obs.count("workspace_chain_builds")
+            self._evict()
         else:
+            # Re-insert: ``chains`` iterates least recently used first.
+            self.chains[key] = self.chains.pop(key)
             self.build_hits += 1
             obs.count("workspace_chain_build_hits")
         return chain
+
+    def _evict(self) -> None:
+        """Drop least recently used chains until ``max_states`` holds."""
+        if self.max_states is None:
+            return
+        total = sum(chain.n_states for chain in self.chains.values())
+        for key in list(self.chains)[:-1]:
+            if total <= self.max_states:
+                break
+            total -= self.chains.pop(key).n_states
+            self.propagators.pop(key, None)
+            self.projections.pop(key, None)
+            self.evictions += 1
+            obs.count("workspace_chain_evictions")
 
     def propagator(
         self, chain: DiscretizedKiBaMRM, key: tuple[Any, ...]
@@ -189,6 +214,7 @@ class SolveWorkspace:
         return {
             "chain_builds": self.builds,
             "chain_build_hits": self.build_hits,
+            "chain_evictions": self.evictions,
             "poisson_cache_hits": hits,
             "poisson_cache_misses": misses,
             **deltas,

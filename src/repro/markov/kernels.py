@@ -4,9 +4,15 @@ Every transient solve in this library bottoms out in the same inner loop:
 repeated vector--matrix products ``v @ P`` against the uniformised DTMC
 matrix, interleaved with Poisson-weighted accumulation
 ``accumulated += w_n * v``.  :class:`ScipyKernel` runs that loop for
-:class:`~repro.markov.uniformization.TransientPropagator`: ``v @ P``
-through scipy's sparse matmul (or a matrix-free operator's
-``__rmatmul__``) and the segment loop in plain Python/NumPy.
+:class:`~repro.markov.uniformization.TransientPropagator`.
+
+Iterates are held **state-major**, as ``(n, K)`` arrays: for a CSR matrix
+the product ``v @ P`` is then ``P^T v``, one call of scipy's compiled
+``csr_matvec`` (``K = 1``) or ``csr_matvecs`` (``K > 1``) on the
+pre-transposed matrix, written into a preallocated output.  The segment
+loop ping-pongs between two buffers allocated once per segment, so no
+product allocates.  Matrix-free operators (whose ``__rmatmul__`` takes a
+``(K, n)`` block) plug into the same loop through a one-line adapter.
 
 The segment runner returns a :class:`SegmentResult` whose ``status``
 encodes the steady-state detection outcome (see the constants below); the
@@ -20,6 +26,10 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable
 
 import numpy as np
+import scipy.sparse as sp
+
+# scipy's compiled CSR products, from a private module (see pyproject.toml).
+from scipy.sparse._sparsetools import csr_matvec, csr_matvecs
 
 from repro.checking.protocols import FloatArray
 
@@ -42,6 +52,11 @@ SEGMENT_START_INVARIANT = 1
 #: collapsed onto the remaining Poisson mass (the transient solution is
 #: *not* necessarily stationary -- later segments still run).
 SEGMENT_TAIL_COLLAPSED = 2
+
+#: ``apply_into(x, out)``: write the product ``x @ P`` of the state-major
+#: iterate *x* into *out*, a C-contiguous array of the same shape that
+#: never aliases *x*.
+ApplyInto = Callable[[FloatArray, FloatArray], None]
 
 
 @dataclass
@@ -75,7 +90,7 @@ class SegmentResult:
 
 
 def segment_python(
-    spmm: Callable[[FloatArray], FloatArray],
+    apply_into: ApplyInto,
     v: FloatArray,
     weights: FloatArray,
     left: int,
@@ -85,15 +100,18 @@ def segment_python(
 ) -> SegmentResult:
     """The segment loop: one Poisson window of products and accumulation.
 
-    *spmm* evaluates one ``v @ P`` product.
+    *v* is the state-major ``(n, K)`` starting block; it is never written.
+    *apply_into* evaluates one ``v @ P`` product into a given buffer.
     *progress* (when given) is invoked once per product with the count of
     products performed so far in this segment.
     """
-    accumulated = np.zeros_like(v)
-    # Reused per-iteration work buffers: the weighted copy of the iterate
-    # and the step difference.  Fresh temporaries here would malloc (and
-    # page-fault) one full-block array per product on large chains.
-    scaled = np.empty_like(v)
+    # The weighted copy of the iterate and the step difference share one
+    # scratch buffer; the products ping-pong between two more.  All four
+    # are C-contiguous and allocated here, once per segment, and never
+    # per product.
+    accumulated = np.zeros(v.shape)
+    scaled = np.empty(v.shape)
+    buffers = (np.empty(v.shape), np.empty(v.shape))
     remaining_mass = 1.0
     performed = 0
     status = SEGMENT_COMPLETED
@@ -106,21 +124,23 @@ def segment_python(
             remaining_mass -= weight
         if n == right:
             break
-        v_next = spmm(v)
+        v_next = buffers[performed % 2]
+        apply_into(v, v_next)
         performed += 1
         if progress is not None:
             progress(performed)
         if tol > 0.0:
             np.subtract(v_next, v, out=scaled)
             np.abs(scaled, out=scaled)
-            step_change = float(np.max(scaled.sum(axis=1)))
+            step_change = float(np.max(scaled.T.sum(axis=1)))
             v = v_next
             if step_change < tol:
                 if n == 0:
                     status = SEGMENT_START_INVARIANT
                 else:
                     status = SEGMENT_TAIL_COLLAPSED
-                    accumulated += max(0.0, remaining_mass) * v
+                    np.multiply(v, max(0.0, remaining_mass), out=scaled)
+                    accumulated += scaled
                 break_index = n
                 break
         else:
@@ -135,18 +155,42 @@ def segment_python(
 
 
 class ScipyKernel:
-    """Scipy sparse products, Python segment loop.
+    """Compiled CSR products on a pre-transposed ``P``, Python segment loop.
 
-    Also the kernel for matrix-free chains -- ``block @ matrix`` defers to
-    the operator's ``__rmatmul__``, so one implementation covers both.
+    *matrix* is ``P`` as a scipy sparse matrix -- ideally the CSC view
+    ``P^T.T`` :class:`~repro.markov.uniformization.TransientPropagator`
+    stores, whose transpose is the CSR ``P^T`` without a copy -- or a
+    matrix-free operator, applied through its ``__rmatmul__``.  The kernel
+    holds no per-solve state, so one instance serves concurrent solves.
     """
 
     def __init__(self, matrix: GeneratorLike) -> None:
-        self._matrix = matrix
+        if sp.issparse(matrix):
+            transposed = matrix.T.tocsr()  # zero-copy for a CSC view
+            n_rows, n_cols = transposed.shape
+            indptr, indices, data = transposed.indptr, transposed.indices, transposed.data
+
+            def apply_into(x: FloatArray, out: FloatArray) -> None:
+                out.fill(0.0)  # the compiled routines accumulate into out
+                n_vecs = x.shape[1]
+                if n_vecs == 1:
+                    csr_matvec(n_rows, n_cols, indptr, indices, data, x.ravel(), out.ravel())
+                else:
+                    csr_matvecs(n_rows, n_cols, n_vecs, indptr, indices, data, x.ravel(), out.ravel())
+
+        else:
+
+            def apply_into(x: FloatArray, out: FloatArray) -> None:
+                out.T[...] = x.T @ matrix  # type: ignore[operator]
+
+        self.apply_into: ApplyInto = apply_into
 
     def spmm(self, block: FloatArray) -> FloatArray:
-        """One ``block @ P`` product."""
-        return block @ self._matrix  # type: ignore[operator]
+        """One ``block @ P`` product of a ``(K, n)`` block; *block* is not written."""
+        x = np.ascontiguousarray(block.T)
+        out = np.empty_like(x)
+        self.apply_into(x, out)
+        return out.T
 
     def run_segment(
         self,
@@ -158,7 +202,7 @@ class ScipyKernel:
         progress: Callable[[int], None] | None = None,
     ) -> SegmentResult:
         """Run one Poisson-window segment (see :func:`segment_python`)."""
-        return segment_python(self.spmm, v, weights, left, right, tol, progress)
+        return segment_python(self.apply_into, v, weights, left, right, tol, progress)
 
 
 def build_kernel(matrix: GeneratorLike) -> ScipyKernel:

@@ -36,12 +36,14 @@ Two further reuse levers are exposed for the engine layer:
 
 * :class:`TransientPropagator` validates the generator, converts it to CSR
   and uniformises it **once**, so repeated solves on the same chain (time
-  grid refinements, parameter sweeps) skip all of that per call.
+  grid refinements, parameter sweeps) skip all of that per call.  ``P`` is
+  stored once, as the CSR transpose ``P^T`` the compiled products of
+  :mod:`repro.markov.kernels` multiply with.
 * :meth:`TransientPropagator.transient_batch` propagates a whole *stack* of
-  initial distributions through the chain in one pass -- the dominating
-  sparse matrix products then operate on a ``(K, n)`` block instead of
-  ``K`` separate vectors, which is substantially faster for scenario
-  batches.
+  ``K`` initial distributions through the chain in one pass.  The stack is
+  held state-major, as an ``(n, K)`` block, so each dominating sparse
+  product is one compiled CSR-times-multivector call instead of ``K``
+  separate products, which is substantially faster for scenario batches.
 """
 
 from __future__ import annotations
@@ -251,10 +253,11 @@ class TransientPropagator:
         if self._matrix_free:
             self._probability_matrix = UniformizedOperator(matrix, self._rate)
         else:
+            # P is stored once, as the CSR transpose the kernel multiplies
+            # with; ``probability_matrix`` is its zero-copy CSC view.
             n = matrix.shape[0]
-            self._probability_matrix = (
-                sp.identity(n, format="csr") + matrix / self._rate
-            ).tocsr()
+            transposed = sp.identity(n, format="csr") + matrix.T.tocsr() / self._rate
+            self._probability_matrix = transposed.T
         self._kernel = kernels.build_kernel(self._probability_matrix)
 
     # ------------------------------------------------------------------
@@ -274,8 +277,13 @@ class TransientPropagator:
         return self._matrix_free
 
     @property
-    def probability_matrix(self) -> sp.csr_matrix | UniformizedOperator:
-        """The uniformised DTMC matrix ``P = I + Q/rate`` (CSR or operator)."""
+    def probability_matrix(self) -> sp.csc_matrix | UniformizedOperator:
+        """The uniformised DTMC matrix ``P = I + Q/rate``.
+
+        A CSC view of the stored CSR ``P^T`` (so ``probability_matrix.T``
+        is that CSR matrix, without a copy), or the operator for
+        matrix-free chains.
+        """
         return self._probability_matrix
 
     @property
@@ -310,8 +318,9 @@ class TransientPropagator:
         block: FloatArray,
         proj: FloatArray | None,
     ) -> None:
-        """Write the (projected) *block* into the time slot(s) *index*."""
-        results[:, index] = block if proj is None else block @ proj
+        """Write the (projected) state-major *block* into the time slot(s) *index*."""
+        rows = block.T
+        results[:, index] = rows if proj is None else rows @ proj
 
     def transient(
         self,
@@ -434,7 +443,8 @@ class TransientPropagator:
         results = np.zeros((alphas.shape[0], n_times, *tail))
         truncation_error = np.zeros(n_times)
 
-        current = alphas.copy()
+        # The iterate is held state-major, (n, K), as the kernel wants it.
+        current = alphas.T.copy()
         converged = False
         performed = 0
         saved = 0

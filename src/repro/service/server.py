@@ -46,10 +46,20 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.engine.problem import LifetimeProblem
     from repro.workload.base import WorkloadModel
 
-__all__ = ["DEFAULT_STORE_ENTRIES", "LifetimeService", "ServiceResponse"]
+__all__ = [
+    "DEFAULT_STORE_ENTRIES",
+    "DEFAULT_WORKSPACE_STATES",
+    "LifetimeService",
+    "ServiceResponse",
+]
 
 #: Default LRU bound of the in-memory result store.
 DEFAULT_STORE_ENTRIES = 1024
+
+#: State bound of the default warm workspace: about four to five 52k-state
+#: reference chains, with their propagators, before the least recently
+#: used chain is evicted.
+DEFAULT_WORKSPACE_STATES = 250_000
 
 #: The ways a response can be produced.
 SERVED_FROM = ("solve", "cache", "coalesced")
@@ -124,12 +134,15 @@ class LifetimeService:
         across requests.  The default disables steady-state horizon caps
         (``horizon_caps=False``) so stored results never depend on which
         queries happened to arrive earlier -- the same coherence rule the
-        sweep workers follow.
+        sweep workers follow -- and bounds its cached chains to
+        :data:`DEFAULT_WORKSPACE_STATES` states, so the memory of a
+        long-running service does not grow with every unseen chain.
 
     Notes
     -----
-    Solves are serialised on an internal lock: the warm workspace's
-    propagators reuse scratch buffers and are not re-entrant.  Requests
+    Solves are serialised on an internal lock.  It guards the warm
+    workspace's chain, propagator and projection dicts and their LRU
+    order; the propagators themselves hold no per-solve state.  Requests
     answered from the store or by coalescing never take that lock.
     """
 
@@ -147,7 +160,9 @@ class LifetimeService:
         if store is None:
             store = SweepCache(max_entries=max_entries)
         self.store = store
-        self.workspace = workspace if workspace is not None else SolveWorkspace(horizon_caps=False)
+        if workspace is None:
+            workspace = SolveWorkspace(horizon_caps=False, max_states=DEFAULT_WORKSPACE_STATES)
+        self.workspace = workspace
         self._lock = threading.Lock()
         self._solve_lock = threading.Lock()
         self._inflight: dict[str, _Inflight] = {}

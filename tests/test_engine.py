@@ -258,6 +258,112 @@ class TestWorkspaceReuse:
         assert again is first
 
 
+class TestWorkspaceLRU:
+    """The ``max_states`` bound: LRU eviction of chain, propagator, projection."""
+
+    @staticmethod
+    def _problem(onoff, capacity):
+        return LifetimeProblem(
+            workload=onoff,
+            battery=KiBaMParameters(capacity=capacity, c=0.625, k=1e-3),
+            times=np.linspace(0.0, 2.0 * capacity, 6),
+            delta=capacity / 20.0,
+            epsilon=1e-8,
+        )
+
+    def _solve(self, workspace, onoff, capacity):
+        return solve_lifetime(
+            self._problem(onoff, capacity), "mrm-uniformization", workspace=workspace
+        )
+
+    @staticmethod
+    def _assert_aligned(workspace):
+        assert set(workspace.chains) == set(workspace.propagators) == set(workspace.projections)
+
+    def test_state_bound_holds_and_evictions_are_reported(self, onoff):
+        probe = SolveWorkspace()
+        self._solve(probe, onoff, 100.0)
+        (chain,) = probe.chains.values()
+        workspace = SolveWorkspace(max_states=2 * chain.n_states)
+        for capacity in (100.0, 110.0, 120.0, 130.0):
+            self._solve(workspace, onoff, capacity)
+            assert sum(c.n_states for c in workspace.chains.values()) <= workspace.max_states
+            self._assert_aligned(workspace)
+        assert workspace.builds == 4
+        assert len(workspace.chains) == 2
+        assert workspace.diagnostics()["chain_evictions"] == workspace.evictions == 2
+
+    def test_least_recently_used_chain_goes_first(self, onoff):
+        workspace = SolveWorkspace()
+        keys = {}
+        for capacity in (100.0, 100.5, 101.0):
+            before = set(workspace.chains)
+            self._solve(workspace, onoff, capacity)
+            (keys[capacity],) = set(workspace.chains) - before
+        # delta scales with the capacity, so every chain has the same size:
+        # from now on there is room for two.
+        sizes = {chain.n_states for chain in workspace.chains.values()}
+        assert len(sizes) == 1
+        workspace.max_states = 2 * sizes.pop()
+        # Touch the oldest chain, then add a fourth: the two untouched go.
+        self._solve(workspace, onoff, 100.0)
+        self._solve(workspace, onoff, 130.0)
+        assert keys[100.0] in workspace.chains
+        assert keys[100.5] not in workspace.chains
+        assert keys[101.0] not in workspace.chains
+        assert len(workspace.chains) == 2
+        self._assert_aligned(workspace)
+
+    def test_rebuilt_chain_gives_an_identical_cdf(self, onoff):
+        # A bound below one chain keeps only the most recent one.
+        workspace = SolveWorkspace(max_states=1)
+        first = self._solve(workspace, onoff, 100.0)
+        self._solve(workspace, onoff, 120.0)
+        again = self._solve(workspace, onoff, 100.0)
+        assert workspace.builds == 3
+        assert workspace.evictions == 2
+        assert len(workspace.chains) == 1
+        self._assert_aligned(workspace)
+        assert np.array_equal(first.probabilities, again.probabilities)
+
+    def test_membership_probes_match_builds(self, onoff):
+        """Subclasses may probe ``key in chains`` / ``propagators`` before a build."""
+        probes = []
+
+        class Probing(SolveWorkspace):
+            def discretized(self, model, delta, key, backend=None):
+                builds = self.builds
+                absent = key not in self.chains
+                chain = super().discretized(model, delta, key, backend=backend)
+                probes.append(("chain", absent, self.builds > builds))
+                return chain
+
+            def propagator(self, chain, key):
+                absent = key not in self.propagators
+                before = self.propagators.get(key)
+                propagator = super().propagator(chain, key)
+                probes.append(("propagator", absent, propagator is not before))
+                return propagator
+
+        workspace = Probing(max_states=1)
+        for capacity in (100.0, 100.0, 120.0, 100.0, 100.0):
+            self._solve(workspace, onoff, capacity)
+        assert len(probes) == 10
+        assert all(absent == built for _, absent, built in probes)
+        assert [built for kind, _, built in probes if kind == "chain"] == [
+            True, False, True, True, False,
+        ]
+
+    def test_unbounded_workspace_never_evicts(self, onoff):
+        workspace = SolveWorkspace()
+        assert workspace.max_states is None
+        for capacity in (100.0, 110.0, 120.0, 130.0, 140.0):
+            self._solve(workspace, onoff, capacity)
+        assert len(workspace.chains) == 5
+        assert workspace.diagnostics()["chain_evictions"] == 0
+        self._assert_aligned(workspace)
+
+
 class TestScenarioBatch:
     def test_stacked_capacity_sweep_matches_independent_solves(self, onoff):
         times = np.linspace(6000.0, 20000.0, 15)

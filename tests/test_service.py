@@ -33,6 +33,7 @@ from repro.engine import (
 )
 from repro.engine.diagnostics import validate_diagnostics
 from repro.service import LifetimeQuery, LifetimeService
+from repro.service.server import DEFAULT_WORKSPACE_STATES
 from repro.workload.base import WorkloadModel
 
 TIMES = np.linspace(0.0, 300.0, 16)
@@ -310,6 +311,20 @@ class TestServing:
         # Same chain, different time grid: the discretised chain is reused.
         assert workspace["chain_builds"] == 1
         assert workspace["chain_build_hits"] >= 1
+
+    def test_default_workspace_is_state_bounded(self) -> None:
+        service = LifetimeService()
+        assert service.workspace.max_states == DEFAULT_WORKSPACE_STATES
+        assert service.stats()["workspace"]["chain_evictions"] == 0
+        # A bound below one chain keeps only the most recent chain.
+        service.workspace.max_states = 1
+        service.query(WORKLOAD, BATTERY, TIMES, delta=2.0, epsilon=1e-6)
+        other = KiBaMParameters(capacity=70.0, c=0.625, k=1e-3)
+        service.query(WORKLOAD, other, TIMES, delta=2.0, epsilon=1e-6)
+        workspace = service.stats()["workspace"]
+        assert workspace["chain_builds"] == 2
+        assert workspace["chain_evictions"] == 1
+        assert len(service.workspace.chains) == len(service.workspace.propagators) == 1
 
     def test_shared_store_with_sweeps(self, tmp_path) -> None:
         """A sweep's disk cache answers the service (and vice versa)."""
