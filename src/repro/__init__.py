@@ -73,11 +73,13 @@ Sub-packages
     CTMC workload models (on/off, simple, burst, MMPP, duty-cycle, seeded
     random generation) and a builder.
 ``repro.markov``
-    CTMC substrate: sparse-first uniformisation (with the reusable
-    :class:`~repro.markov.uniformization.TransientPropagator`), memoised
-    Fox--Glynn windows, steady state, phase types.
+    CTMC substrate: sparse-first uniformisation (the transient solve is
+    :meth:`~repro.markov.uniformization.TransientPropagator.transient_batch`),
+    memoised Fox--Glynn windows, matrix-free Kronecker operators, chain
+    validators, steady state.
 ``repro.reward``
-    Markov reward models, Sericola's exact performability algorithm.
+    The occupation-time algorithm of the analytic solver (Sericola's exact
+    performability algorithm).
 ``repro.core``
     The KiBaMRM and its discretisation into the expanded CTMC.
 ``repro.simulation``

@@ -16,9 +16,8 @@ charge is available).  The battery is empty as soon as ``Y_1(t) = 0``; the
 lifetime is the first time this happens.
 
 The :class:`KiBaMRM` class bundles the workload and battery parameters,
-exposes the reward-rate functions (used by tests and by the generic
-inhomogeneous-MRM tooling in :mod:`repro.reward`) and states the reward
-bounds needed by the discretisation.
+exposes the reward-rate functions and states the reward bounds needed by
+the discretisation.
 """
 
 from __future__ import annotations
@@ -27,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.battery.kibam import KiBaMState, KineticBatteryModel
+from repro.battery.kibam import KiBaMState
 from repro.battery.parameters import KiBaMParameters
 from repro.workload.base import WorkloadModel
 
@@ -74,10 +73,6 @@ class KiBaMRM:
     def initial_rewards(self) -> tuple[float, float]:
         """Initial accumulated rewards ``(c C, (1-c) C)`` (a full battery)."""
         return self.battery.available_capacity, self.battery.bound_capacity
-
-    def battery_model(self) -> KineticBatteryModel:
-        """Return the analytical KiBaM for this parameter set."""
-        return KineticBatteryModel(self.battery)
 
     # ------------------------------------------------------------------
     def heights(self, available: float, bound: float) -> tuple[float, float]:

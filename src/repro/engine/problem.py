@@ -51,18 +51,21 @@ class LifetimeProblem:
     battery:
         The KiBaM parameter set.
     times:
-        Evaluation time grid (seconds); strictly increasing, non-negative.
+        Evaluation time grid (seconds); finite, strictly increasing,
+        non-negative.
     delta:
         Discretisation step size (As) for the Markovian approximation;
         ``None`` selects a default of ~100 available-charge levels.
     epsilon:
-        Truncation error bound for the uniformisation-based solvers.
+        Truncation error bound for the uniformisation-based solvers;
+        finite, ``0 < epsilon < 1``.
     n_runs:
         Number of replications for the Monte-Carlo solver.
     seed:
         Seed for the stochastic solvers.
     horizon:
-        Optional per-run horizon for the Monte-Carlo solver.
+        Optional per-run horizon for the Monte-Carlo solver; finite and
+        positive when given.
     label:
         Optional curve label attached to the resulting distribution.
     """
@@ -82,6 +85,8 @@ class LifetimeProblem:
         times = np.atleast_1d(np.asarray(self.times, dtype=float)).ravel()
         if times.size == 0:
             raise ValueError("a lifetime problem needs at least one time point")
+        if not np.all(np.isfinite(times)):
+            raise ValueError("the time points (times) must be finite")
         if np.any(times < 0):
             raise ValueError("time points must be non-negative")
         if np.any(np.diff(times) <= 0):
@@ -97,8 +102,12 @@ class LifetimeProblem:
                     f"({self.battery.available_capacity:g} As)"
                 )
             object.__setattr__(self, "delta", delta)
-        if self.epsilon <= 0:
-            raise ValueError("epsilon must be positive")
+        if not (math.isfinite(self.epsilon) and 0.0 < self.epsilon < 1.0):
+            raise ValueError(f"epsilon must be finite and in (0, 1), got {self.epsilon!r}")
+        if self.horizon is not None and not (math.isfinite(self.horizon) and self.horizon > 0):
+            raise ValueError(
+                f"horizon must be None or finite and positive, got {self.horizon!r}"
+            )
         if self.n_runs < 1:
             raise ValueError("n_runs must be at least 1")
 

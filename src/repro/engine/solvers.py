@@ -47,7 +47,7 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from collections.abc import Sequence
 
     from repro.checking.protocols import DiscretizedChain, FloatArray
-    from repro.markov.uniformization import BatchTransientResult, UniformizationResult
+    from repro.markov.uniformization import BatchTransientResult
 
 __all__ = [
     "AnalyticSolver",
@@ -103,9 +103,7 @@ def cdf_mass_diagnostics(distribution: LifetimeDistribution) -> dict[str, Any]:
     }
 
 
-def transient_diagnostics(
-    transient: BatchTransientResult | UniformizationResult,
-) -> dict[str, Any]:
+def transient_diagnostics(transient: BatchTransientResult) -> dict[str, Any]:
     """Diagnostics entries describing one uniformisation transient solve.
 
     Reports the fast-path telemetry (segment count, steady-state detection

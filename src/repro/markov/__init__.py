@@ -1,43 +1,32 @@
-"""Continuous-time Markov chain (CTMC) substrate.
+"""Continuous-time Markov chain (CTMC) substrate of the Markovian approximation.
 
-This sub-package provides the numerical machinery that the rest of the
-library is built on:
+The paper's algorithm (Section 5) reduces the battery-lifetime problem to
+the transient solution of a large, sparse, absorbing CTMC; this
+sub-package holds the machinery for exactly that:
 
-* generator-matrix construction and validation (:mod:`repro.markov.generator`),
+* generator-matrix conversion and validation (:mod:`repro.markov.generator`),
 * Poisson probability weights, including the Fox--Glynn algorithm
   (:mod:`repro.markov.poisson`),
-* transient solution of CTMCs via uniformisation, for one or many time
-  points at once (:mod:`repro.markov.uniformization` and
-  :mod:`repro.markov.transient`),
-* steady-state solution (:mod:`repro.markov.steady_state`),
-* discrete-time Markov chains (:mod:`repro.markov.dtmc`),
-* phase-type distributions such as the Erlang-K distributions used by the
-  on/off workload model (:mod:`repro.markov.phase_type`),
-* absorbing-state analysis and first-passage times
-  (:mod:`repro.markov.absorbing`),
+* the transient solve by uniformisation -- one entry point,
+  :meth:`TransientPropagator.transient_batch
+  <repro.markov.uniformization.TransientPropagator.transient_batch>`,
+  returning a :class:`~repro.markov.uniformization.BatchTransientResult`
+  (:mod:`repro.markov.uniformization`), whose segment loop runs in the
+  scipy kernel of :mod:`repro.markov.kernels`,
+* matrix-free Kronecker operators for multi-battery product chains
+  (:mod:`repro.markov.kronecker`),
+* the reference solutions tests and benchmarks compare against -- the
+  dense matrix exponential and the detection-free sweep
+  (:mod:`repro.markov.transient`) -- and the steady-state solver
+  (:mod:`repro.markov.steady_state`),
 * structural chain validation -- generator laws, absorbing reachability,
   Kronecker-operator consistency, exact lumping quotients -- behind the
   ``REPRO_CHECKS`` toggle (:mod:`repro.markov.validate`).
-
-The paper's Markovian-approximation algorithm (Section 5) reduces the
-battery-lifetime problem to the transient solution of a large, sparse CTMC;
-all of that work happens here.
 """
 
-from repro.markov.absorbing import (
-    absorption_probabilities,
-    absorption_time_cdf,
-    expected_absorption_time,
-    first_passage_time_cdf,
-)
-from repro.markov.ctmc import CTMC
-from repro.markov.dtmc import DTMC
 from repro.markov.generator import (
     as_csr,
-    build_generator,
-    embedded_jump_matrix,
     exit_rates,
-    is_generator,
     kron_chain,
     uniformized_matrix,
     validate_generator,
@@ -48,12 +37,6 @@ from repro.markov.kronecker import (
     UniformizedOperator,
     assembled_csr_bytes,
 )
-from repro.markov.phase_type import (
-    PhaseTypeDistribution,
-    erlang,
-    exponential,
-    hyperexponential,
-)
 from repro.markov.poisson import (
     PoissonWeights,
     cached_poisson_weights,
@@ -61,13 +44,10 @@ from repro.markov.poisson import (
     poisson_weights,
 )
 from repro.markov.steady_state import steady_state_distribution
-from repro.markov.transient import transient_distribution
 from repro.markov.uniformization import (
     BatchTransientResult,
     TransientPropagator,
-    UniformizationResult,
     uniformization_rate,
-    uniformized_transient,
 )
 from repro.markov.validate import (
     ValidationError,
@@ -80,40 +60,24 @@ from repro.markov.validate import (
 
 __all__ = [
     "BatchTransientResult",
-    "CTMC",
-    "DTMC",
     "KroneckerGenerator",
     "KroneckerTerm",
-    "PhaseTypeDistribution",
     "PoissonWeights",
     "TransientPropagator",
-    "UniformizationResult",
     "UniformizedOperator",
     "ValidationError",
-    "absorption_probabilities",
-    "absorption_time_cdf",
     "as_csr",
     "assembled_csr_bytes",
-    "build_generator",
     "cached_poisson_weights",
     "check_chain",
     "check_generator",
-    "embedded_jump_matrix",
-    "erlang",
     "exit_rates",
-    "expected_absorption_time",
-    "exponential",
-    "first_passage_time_cdf",
     "fox_glynn",
-    "hyperexponential",
-    "is_generator",
     "kron_chain",
     "poisson_weights",
     "steady_state_distribution",
-    "transient_distribution",
     "uniformization_rate",
     "uniformized_matrix",
-    "uniformized_transient",
     "validate_absorbing",
     "validate_generator",
     "validate_kronecker",

@@ -1,4 +1,4 @@
-"""Construction and validation of CTMC generator matrices.
+"""Conversion and validation of CTMC generator matrices.
 
 A generator (infinitesimal generator, or Q-matrix) has non-negative
 off-diagonal entries and rows that sum to zero.  The helpers in this module
@@ -10,13 +10,12 @@ states.
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Sequence
+from collections.abc import Iterable
 from typing import TYPE_CHECKING
 
 import numpy as np
 import scipy.sparse as sp
 
-from repro.checking.dense import dense_fallback
 from repro.checking.protocols import FloatArray
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -25,10 +24,7 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 __all__ = [
     "GeneratorError",
     "as_csr",
-    "build_generator",
-    "embedded_jump_matrix",
     "exit_rates",
-    "is_generator",
     "kron_chain",
     "uniformized_matrix",
     "validate_generator",
@@ -78,62 +74,6 @@ def kron_chain(factors: Iterable[GeneratorLike]) -> sp.csr_matrix:
     for factor in matrices[1:]:
         product = sp.kron(product, factor, format="csr")
     return product.tocsr()
-
-
-def build_generator(
-    n_states: int,
-    transitions: Iterable[tuple[int, int, float]],
-    *,
-    sparse: bool = False,
-) -> FloatArray | sp.csr_matrix:
-    """Build a generator matrix from a list of transitions.
-
-    Parameters
-    ----------
-    n_states:
-        Number of states of the chain.
-    transitions:
-        Iterable of ``(source, target, rate)`` triples with ``rate >= 0``
-        and ``source != target``.  Rates for the same pair accumulate.
-    sparse:
-        If ``True`` the result is a ``scipy.sparse.csr_matrix``; otherwise a
-        dense :class:`numpy.ndarray`.
-
-    Returns
-    -------
-    numpy.ndarray or scipy.sparse.csr_matrix
-        A valid generator matrix with diagonal entries equal to the negated
-        off-diagonal row sums.
-    """
-    if n_states <= 0:
-        raise GeneratorError("a generator needs at least one state")
-    rows: list[int] = []
-    cols: list[int] = []
-    vals: list[float] = []
-    for source, target, rate in transitions:
-        if not 0 <= source < n_states or not 0 <= target < n_states:
-            raise GeneratorError(
-                f"transition ({source}, {target}) outside state space of size {n_states}"
-            )
-        if source == target:
-            raise GeneratorError("self-loops are not allowed in a generator")
-        if rate < 0:
-            raise GeneratorError(f"negative rate {rate} for transition ({source}, {target})")
-        if rate == 0:
-            continue
-        rows.append(source)
-        cols.append(target)
-        vals.append(float(rate))
-
-    off_diagonal = sp.coo_matrix(
-        (vals, (rows, cols)), shape=(n_states, n_states), dtype=float
-    ).tocsr()
-    row_sums = np.asarray(off_diagonal.sum(axis=1)).ravel()
-    diagonal = sp.diags(-row_sums)
-    generator = (off_diagonal + diagonal).tocsr()
-    if sparse:
-        return generator
-    return dense_fallback(generator)
 
 
 def exit_rates(generator: GeneratorLike) -> FloatArray:
@@ -189,15 +129,6 @@ def validate_generator(generator: GeneratorLike, *, tolerance: float = DEFAULT_T
         )
 
 
-def is_generator(generator: GeneratorLike, *, tolerance: float = DEFAULT_TOLERANCE) -> bool:
-    """Return ``True`` when *generator* is a valid Q-matrix."""
-    try:
-        validate_generator(generator, tolerance=tolerance)
-    except GeneratorError:
-        return False
-    return True
-
-
 def uniformized_matrix(
     generator: GeneratorLike, rate: float
 ) -> FloatArray | sp.csr_matrix:
@@ -228,40 +159,3 @@ def uniformized_matrix(
         return (sp.identity(n, format="csr") + generator.tocsr() / rate).tocsr()
     matrix = np.asarray(generator, dtype=float)
     return np.eye(matrix.shape[0]) + matrix / rate
-
-
-def embedded_jump_matrix(generator: GeneratorLike) -> FloatArray:
-    """Return the jump-chain (embedded DTMC) matrix of a generator.
-
-    For a state ``i`` with exit rate ``q_i > 0`` the probability of jumping
-    to ``j != i`` is ``Q[i, j] / q_i``.  Absorbing states (``q_i == 0``)
-    receive a self-loop with probability one.  The result is always dense
-    because it is only used for the small workload chains and for sampling.
-    """
-    matrix = dense_fallback(generator)
-    n = matrix.shape[0]
-    rates = exit_rates(matrix)
-    jump = np.zeros_like(matrix)
-    for i in range(n):
-        if rates[i] <= 0.0:
-            jump[i, i] = 1.0
-            continue
-        jump[i] = matrix[i] / rates[i]
-        jump[i, i] = 0.0
-    return jump
-
-
-def restrict_generator(
-    generator: GeneratorLike, states: Sequence[int]
-) -> FloatArray | sp.csr_matrix:
-    """Return the sub-generator restricted to *states* (rows and columns).
-
-    The result is in general *not* a proper generator (rows may sum to a
-    negative value) -- it describes the dynamics before leaving the subset,
-    as used in first-passage-time computations.
-    """
-    index = np.asarray(list(states), dtype=int)
-    if _is_sparse(generator):
-        return generator.tocsr()[index][:, index]
-    matrix = np.asarray(generator, dtype=float)
-    return matrix[np.ix_(index, index)]

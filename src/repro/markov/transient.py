@@ -1,12 +1,12 @@
-"""High-level transient-analysis helpers for CTMCs.
+"""Reference transient solutions that tests and benchmarks compare against.
 
-The actual numerical work is done by
-:func:`repro.markov.uniformization.uniformized_transient`; this module adds
-the small conveniences used throughout the library: reference solutions
-for cross-checks (the dense matrix exponential and the detection-free
-one-sweep uniformisation of :func:`single_pass_transient`), and
-cumulative (time-integrated) state probabilities which are needed for
-expected accumulated rewards.
+The transient solve itself is
+:meth:`repro.markov.uniformization.TransientPropagator.transient_batch`;
+this module holds the cross-checks for it: the dense matrix exponential,
+the detection-free one-sweep uniformisation of
+:func:`single_pass_transient`, and cumulative (time-integrated) state
+probabilities, which cross-check the occupation-time algorithm of the
+analytic solver.
 """
 
 from __future__ import annotations
@@ -20,11 +20,7 @@ from repro.checking.dense import dense_fallback
 from repro.checking.protocols import FloatArray
 from repro.markov.kernels import build_kernel
 from repro.markov.poisson import shared_poisson_windows
-from repro.markov.uniformization import (
-    BatchTransientResult,
-    TransientPropagator,
-    uniformized_transient,
-)
+from repro.markov.uniformization import BatchTransientResult, TransientPropagator
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     import numpy.typing as npt
@@ -34,33 +30,8 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 __all__ = [
     "expm_transient",
     "single_pass_transient",
-    "transient_distribution",
     "cumulative_state_probabilities",
 ]
-
-
-def transient_distribution(
-    generator: GeneratorLike,
-    initial_distribution: npt.ArrayLike,
-    times: npt.ArrayLike,
-    *,
-    epsilon: float = 1e-10,
-    validate: bool = True,
-) -> FloatArray:
-    """Return transient state distributions at the given time points.
-
-    This is a thin convenience wrapper around
-    :func:`repro.markov.uniformization.uniformized_transient` that returns
-    only the distributions.  If *times* is a scalar, a one-dimensional array
-    is returned; otherwise the result has shape ``(len(times), n_states)``.
-    """
-    scalar = np.isscalar(times)
-    result = uniformized_transient(
-        generator, initial_distribution, times, epsilon=epsilon, validate=validate
-    )
-    if scalar:
-        return result.distributions[0]
-    return result.distributions
 
 
 def expm_transient(
@@ -162,7 +133,8 @@ def cumulative_state_probabilities(
     if n_points < 2:
         raise ValueError("n_points must be at least 2")
     grid = np.linspace(0.0, float(time), int(n_points))
-    distributions = uniformized_transient(
-        generator, initial_distribution, grid, epsilon=epsilon
-    ).distributions
+    alpha = np.asarray(initial_distribution, dtype=float).ravel()
+    distributions = (
+        TransientPropagator(generator).transient_batch(alpha[None], grid, epsilon=epsilon).values[0]
+    )
     return np.trapezoid(distributions, grid, axis=0)

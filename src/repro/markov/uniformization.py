@@ -39,8 +39,10 @@ Two further reuse levers are exposed for the engine layer:
   grid refinements, parameter sweeps) skip all of that per call.  ``P`` is
   stored once, as the CSR transpose ``P^T`` the compiled products of
   :mod:`repro.markov.kernels` multiply with.
-* :meth:`TransientPropagator.transient_batch` propagates a whole *stack* of
-  ``K`` initial distributions through the chain in one pass.  The stack is
+* :meth:`TransientPropagator.transient_batch` -- the one entry point of
+  the transient solve, returning a :class:`BatchTransientResult` --
+  propagates a whole *stack* of ``K`` initial distributions through the
+  chain in one pass (a single distribution is the stack ``alpha[None]``).  The stack is
   held state-major, as an ``(n, K)`` block, so each dominating sparse
   product is one compiled CSR-times-multivector call instead of ``K``
   separate products, which is substantially faster for scenario batches.
@@ -71,9 +73,7 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 __all__ = [
     "BatchTransientResult",
     "TransientPropagator",
-    "UniformizationResult",
     "uniformization_rate",
-    "uniformized_transient",
 ]
 
 #: Safety factor applied on top of the maximal exit rate when choosing the
@@ -81,49 +81,6 @@ __all__ = [
 #: uniformised matrix has strictly positive diagonal entries, which makes the
 #: iteration aperiodic and numerically benign.
 RATE_SAFETY_FACTOR = 1.02
-
-
-@dataclass
-class UniformizationResult:
-    """Result of a multi-time-point uniformisation run.
-
-    Attributes
-    ----------
-    times:
-        The requested time points (in the order given by the caller).
-    distributions:
-        Array of shape ``(len(times), n_states)``; row ``j`` is the transient
-        state distribution at ``times[j]``.
-    rate:
-        The uniformisation rate that was used.
-    iterations:
-        Number of vector--matrix products that were performed.
-    truncation_error:
-        Upper bound on the neglected Poisson mass, per time point.
-    iterations_saved:
-        Vector--matrix products avoided by steady-state detection.
-    steady_state_time:
-        Time point during whose segment the iteration was detected to have
-        converged (``None`` when detection never fired).
-    steady_state_iteration:
-        Global product count at which convergence was detected.
-    """
-
-    times: FloatArray
-    distributions: FloatArray
-    rate: float
-    iterations: int
-    truncation_error: FloatArray
-    iterations_saved: int = 0
-    steady_state_time: float | None = None
-    steady_state_iteration: int | None = None
-
-    def at(self, time: float) -> FloatArray:
-        """Return the distribution computed for time point *time*."""
-        matches = np.nonzero(np.isclose(self.times, time))[0]
-        if matches.size == 0:
-            raise KeyError(f"time point {time} was not part of this solution")
-        return self.distributions[int(matches[0])]
 
 
 @dataclass
@@ -193,9 +150,9 @@ class TransientPropagator:
     The constructor performs all the per-chain work exactly once -- CSR
     conversion (the pipeline is sparse end-to-end; dense workload chains are
     converted at this boundary), validation, exit-rate extraction and
-    uniformisation -- so that every subsequent :meth:`transient` /
-    :meth:`transient_batch` call only pays for the Poisson windows (which
-    are memoised globally) and the vector--matrix products.
+    uniformisation -- so that every subsequent :meth:`transient_batch` call
+    only pays for the Poisson windows (which are memoised globally) and the
+    vector--matrix products.
 
     Parameters
     ----------
@@ -321,28 +278,6 @@ class TransientPropagator:
         """Write the (projected) state-major *block* into the time slot(s) *index*."""
         rows = block.T
         results[:, index] = rows if proj is None else rows @ proj
-
-    def transient(
-        self,
-        initial_distribution: npt.ArrayLike,
-        times: npt.ArrayLike,
-        *,
-        epsilon: float = 1e-10,
-        callback: Callable[[int, int], None] | None = None,
-    ) -> UniformizationResult:
-        """Compute transient state distributions at one or more time points."""
-        alpha = np.asarray(initial_distribution, dtype=float).ravel()
-        batch = self.transient_batch(alpha[None, :], times, epsilon=epsilon, callback=callback)
-        return UniformizationResult(
-            times=batch.times,
-            distributions=batch.values[0],
-            rate=batch.rate,
-            iterations=batch.iterations,
-            truncation_error=batch.truncation_error,
-            iterations_saved=batch.iterations_saved,
-            steady_state_time=batch.steady_state_time,
-            steady_state_iteration=batch.steady_state_iteration,
-        )
 
     def transient_batch(
         self,
@@ -536,24 +471,3 @@ class TransientPropagator:
             steady_state_iteration=steady_state_iteration,
         )
 
-
-def uniformized_transient(
-    generator: GeneratorLike,
-    initial_distribution: npt.ArrayLike,
-    times: npt.ArrayLike,
-    *,
-    epsilon: float = 1e-10,
-    rate: float | None = None,
-    validate: bool = True,
-    callback: Callable[[int, int], None] | None = None,
-) -> UniformizationResult:
-    """Compute transient state distributions at one or more time points.
-
-    One-shot convenience wrapper around :class:`TransientPropagator`; see
-    there for the parameter semantics.  Callers that solve the same chain
-    repeatedly (time-grid refinements, scenario sweeps) should construct a
-    :class:`TransientPropagator` once instead, which skips the re-validation
-    and re-uniformisation of the generator on every call.
-    """
-    propagator = TransientPropagator(generator, rate=rate, validate=validate)
-    return propagator.transient(initial_distribution, times, epsilon=epsilon, callback=callback)

@@ -577,12 +577,3 @@ class DiscretizedMultiBatterySystem:
         if distributions.ndim == 1:
             return float(distributions[self.empty_states].sum())
         return distributions[:, self.empty_states].sum(axis=1)
-
-    def battery_alive_probability(
-        self, distribution: npt.ArrayLike, battery: int
-    ) -> float:
-        """Probability that battery *battery* still holds available charge."""
-        distribution = np.asarray(distribution, dtype=float)
-        n_aux = self.n_states // self.n_cells
-        by_cell = distribution.reshape(n_aux, self.n_cells).sum(axis=0)
-        return float(by_cell[self.levels[:, battery] >= 1].sum())

@@ -1,32 +1,19 @@
-"""Markov reward models and accumulated-reward (performability) algorithms.
+"""The occupation-time algorithm of the analytic solver.
 
-* :mod:`repro.reward.mrm` -- homogeneous Markov reward models: a CTMC plus a
-  reward vector, with expected accumulated reward and the link to the
-  accumulated-reward distribution algorithms.
-* :mod:`repro.reward.inhomogeneous` -- reward-inhomogeneous MRMs with one or
-  two reward variables (the class the KiBaMRM of Section 4.2 belongs to).
-* :mod:`repro.reward.occupation` -- the exact uniformisation-based algorithm
-  for the accumulated-reward distribution when the rewards take (at most)
-  two distinct values, following De Souza e Silva & Gail / Sericola; this is
-  the "exact" reference used for single-well on/off experiments.
-* :mod:`repro.reward.discretisation` -- the explicit reward-discretisation
-  scheme discussed (as an alternative) in Section 5 of the paper, for
-  homogeneous MRMs with a single non-negative reward.
+:mod:`repro.reward.occupation` holds the exact uniformisation-based
+algorithm for the accumulated-reward distribution when the rewards take (at
+most) two distinct values, following De Souza e Silva & Gail / Sericola.
+The ``analytic`` solver uses it for single-well two-level-current
+workloads, and it is the independent correctness oracle for the Markovian
+approximation.
 """
 
-from repro.reward.discretisation import discretised_reward_distribution
-from repro.reward.inhomogeneous import InhomogeneousMRM, from_kibamrm
-from repro.reward.mrm import MarkovRewardModel
 from repro.reward.occupation import (
     occupation_time_distribution,
     two_level_reward_distribution,
 )
 
 __all__ = [
-    "InhomogeneousMRM",
-    "MarkovRewardModel",
-    "discretised_reward_distribution",
-    "from_kibamrm",
     "occupation_time_distribution",
     "two_level_reward_distribution",
 ]

@@ -91,10 +91,6 @@ class Trajectory:
         np.add.at(occupancy, self.states, self.durations)
         return occupancy
 
-    def consumed_charge(self) -> float:
-        """Return the total charge (As) an ideal battery would deliver."""
-        return float(np.dot(self.durations, self.currents))
-
 
 def sample_trajectory(
     workload: WorkloadModel,

@@ -397,9 +397,9 @@ class TestKernelEquivalence:
         alpha[0] = 1.0
         times = np.array([1.0, 4.0, 16.0])
         propagator = TransientPropagator(generator)
-        incremental = propagator.transient(alpha, times)
+        incremental = propagator.transient_batch(alpha[None], times)
         single = single_pass_transient(propagator, alpha, times, epsilon=1e-10)
-        np.testing.assert_allclose(incremental.distributions, single.values[0], atol=1e-10)
+        np.testing.assert_allclose(incremental.values, single.values, atol=1e-10)
 
 # ----------------------------------------------------------------------
 # Matrix-free operators: scipy kernel via __rmatmul__, fused uniformised apply.
@@ -409,12 +409,12 @@ class TestMatrixFreeKernels:
         assembled, matrix_free = two_battery_chains()
         alpha = np.asarray(assembled.initial_distribution, dtype=float)
         times = np.array([200.0, 800.0, 2000.0])
-        reference = TransientPropagator(assembled.generator).transient(alpha, times)
+        reference = TransientPropagator(assembled.generator).transient_batch(alpha[None], times)
         operator_side = TransientPropagator(matrix_free.generator)
         assert operator_side.is_matrix_free
         np.testing.assert_allclose(
-            operator_side.transient(alpha, times).distributions,
-            reference.distributions,
+            operator_side.transient_batch(alpha[None], times).values,
+            reference.values,
             atol=1e-10,
         )
 

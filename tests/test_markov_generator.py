@@ -1,65 +1,20 @@
-"""Tests for generator-matrix construction and validation."""
+"""Tests for generator-matrix validation, exit rates and uniformisation."""
 
 import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from repro.checking import dense_fallback
 from repro.markov.generator import (
     GeneratorError,
-    build_generator,
-    embedded_jump_matrix,
     exit_rates,
-    is_generator,
-    restrict_generator,
     uniformized_matrix,
     validate_generator,
 )
 
 
-class TestBuildGenerator:
-    def test_dense_generator_rows_sum_to_zero(self):
-        generator = build_generator(3, [(0, 1, 2.0), (1, 2, 1.0), (2, 0, 0.5)])
-        assert generator.shape == (3, 3)
-        assert np.allclose(generator.sum(axis=1), 0.0)
-
-    def test_sparse_generator_matches_dense(self):
-        transitions = [(0, 1, 2.0), (1, 0, 3.0), (1, 2, 1.0), (2, 1, 4.0)]
-        dense = build_generator(3, transitions)
-        sparse = build_generator(3, transitions, sparse=True)
-        assert sp.issparse(sparse)
-        assert np.allclose(dense_fallback(sparse), dense)
-
-    def test_duplicate_transitions_accumulate(self):
-        generator = build_generator(2, [(0, 1, 1.0), (0, 1, 2.0)])
-        assert generator[0, 1] == pytest.approx(3.0)
-        assert generator[0, 0] == pytest.approx(-3.0)
-
-    def test_zero_rate_transitions_are_ignored(self):
-        generator = build_generator(2, [(0, 1, 0.0)])
-        assert np.allclose(generator, 0.0)
-
-    def test_self_loop_rejected(self):
-        with pytest.raises(GeneratorError):
-            build_generator(2, [(0, 0, 1.0)])
-
-    def test_negative_rate_rejected(self):
-        with pytest.raises(GeneratorError):
-            build_generator(2, [(0, 1, -1.0)])
-
-    def test_out_of_range_state_rejected(self):
-        with pytest.raises(GeneratorError):
-            build_generator(2, [(0, 2, 1.0)])
-
-    def test_empty_state_space_rejected(self):
-        with pytest.raises(GeneratorError):
-            build_generator(0, [])
-
-
 class TestValidateGenerator:
     def test_valid_generator_passes(self, three_state_generator):
         validate_generator(three_state_generator)
-        assert is_generator(three_state_generator)
 
     def test_valid_sparse_generator_passes(self, three_state_generator):
         validate_generator(sp.csr_matrix(three_state_generator))
@@ -72,7 +27,6 @@ class TestValidateGenerator:
         matrix = np.array([[-1.0, 1.0], [-0.5, 0.5]])
         with pytest.raises(GeneratorError):
             validate_generator(matrix)
-        assert not is_generator(matrix)
 
     def test_nonzero_row_sum_rejected(self):
         matrix = np.array([[-1.0, 0.5], [1.0, -1.0]])
@@ -110,21 +64,3 @@ class TestExitRatesAndUniformization:
         assert sp.issparse(probability)
         assert np.allclose(np.asarray(probability.sum(axis=1)).ravel(), 1.0)
 
-
-class TestEmbeddedChain:
-    def test_jump_probabilities(self, three_state_generator):
-        jump = embedded_jump_matrix(three_state_generator)
-        assert np.allclose(jump.sum(axis=1), 1.0)
-        assert jump[0, 1] == pytest.approx(2.0 / 3.0)
-        assert jump[0, 0] == 0.0
-
-    def test_absorbing_state_gets_self_loop(self):
-        generator = np.array([[-1.0, 1.0], [0.0, 0.0]])
-        jump = embedded_jump_matrix(generator)
-        assert jump[1, 1] == pytest.approx(1.0)
-
-    def test_restrict_generator(self, three_state_generator):
-        sub = restrict_generator(three_state_generator, [0, 2])
-        assert sub.shape == (2, 2)
-        assert sub[0, 0] == pytest.approx(-3.0)
-        assert sub[0, 1] == pytest.approx(1.0)

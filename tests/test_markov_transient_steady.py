@@ -4,27 +4,27 @@ import numpy as np
 import pytest
 
 from repro.markov.steady_state import steady_state_distribution
-from repro.markov.transient import (
-    cumulative_state_probabilities,
-    expm_transient,
-    transient_distribution,
-)
+from repro.markov.transient import cumulative_state_probabilities, expm_transient
+from repro.markov.uniformization import TransientPropagator
 
 
 class TestTransientDistribution:
     def test_scalar_time_returns_vector(self, three_state_generator):
-        result = transient_distribution(three_state_generator, [1.0, 0.0, 0.0], 0.5)
-        assert result.shape == (3,)
+        alpha = np.array([1.0, 0.0, 0.0])
+        result = TransientPropagator(three_state_generator).transient_batch(alpha[None], 0.5)
+        assert result.values.shape == (1, 1, 3)
+        assert result.times.shape == (1,)
 
     def test_sequence_of_times_returns_matrix(self, three_state_generator):
-        result = transient_distribution(three_state_generator, [1.0, 0.0, 0.0], [0.5, 1.0])
-        assert result.shape == (2, 3)
+        alpha = np.array([1.0, 0.0, 0.0])
+        result = TransientPropagator(three_state_generator).transient_batch(alpha[None], [0.5, 1.0])
+        assert result.values.shape == (1, 2, 3)
 
     def test_matches_expm(self, three_state_generator):
         alpha = np.array([0.0, 0.0, 1.0])
-        uniform = transient_distribution(three_state_generator, alpha, 1.3)
+        uniform = TransientPropagator(three_state_generator).transient_batch(alpha[None], 1.3)
         reference = expm_transient(three_state_generator, alpha, 1.3)
-        assert np.allclose(uniform, reference, atol=1e-8)
+        assert np.allclose(uniform.values[0, 0], reference, atol=1e-8)
 
 
 class TestCumulativeStateProbabilities:

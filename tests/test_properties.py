@@ -12,7 +12,7 @@ from repro.core.discretization import discretize
 from repro.core.kibamrm import KiBaMRM
 from repro.markov.generator import validate_generator
 from repro.markov.steady_state import steady_state_distribution
-from repro.markov.uniformization import uniformized_transient
+from repro.markov.uniformization import TransientPropagator
 from repro.reward.occupation import occupation_time_distribution
 from repro.workload.onoff import onoff_workload
 
@@ -43,8 +43,8 @@ class TestMarkovProperties:
     def test_transient_distribution_is_stochastic(self, generator, time):
         alpha = np.zeros(generator.shape[0])
         alpha[0] = 1.0
-        result = uniformized_transient(generator, alpha, [time])
-        distribution = result.distributions[0]
+        result = TransientPropagator(generator).transient_batch(alpha[None], [time])
+        distribution = result.values[0, 0]
         assert np.all(distribution >= -1e-10)
         assert distribution.sum() == pytest.approx(1.0, abs=1e-7)
 
@@ -52,7 +52,7 @@ class TestMarkovProperties:
     @settings(max_examples=30, deadline=None)
     def test_steady_state_is_fixed_point_of_transient(self, generator):
         pi = steady_state_distribution(generator)
-        later = uniformized_transient(generator, pi, [3.0]).distributions[0]
+        later = TransientPropagator(generator).transient_batch(pi[None], [3.0]).values[0, 0]
         assert np.allclose(later, pi, atol=1e-6)
 
     @given(

@@ -11,6 +11,7 @@ JSONL / HTTP fronts of ``tools/repro_serve.py``.
 
 from __future__ import annotations
 
+import http.client
 import io
 import json
 import threading
@@ -122,6 +123,23 @@ class TestLifetimeQuery:
             ({"epsilom": 1e-3}, "epsilom"),
             ({}, None),
             ({"transient_mode": "single-pass"}, "transient_mode"),
+            # Bad values are rejected where they enter, naming the field.
+            (
+                {
+                    "workload": {
+                        "state_names": ["busy", "idle"],
+                        "generator": [[-0.02, 0.02], [0.02, -0.02]],
+                        "currents": [float("nan"), 0.05],
+                        "initial_distribution": [1.0, 0.0],
+                    }
+                },
+                "currents",
+            ),
+            ({"epsilon": 2.0}, "epsilon"),
+            ({"epsilon": float("nan")}, "epsilon"),
+            ({"times": [1.0, float("nan")]}, "times"),
+            ({"horizon": -5.0}, "horizon"),
+            ({"horizon": float("inf")}, "horizon"),
         ],
     )
     def test_from_mapping_rejects_unknown_keys(self, extra, unknown) -> None:
@@ -487,7 +505,7 @@ class TestServeFronts:
     def test_http_front(self) -> None:
         from http.server import ThreadingHTTPServer
 
-        from tools.repro_serve import _make_handler
+        from tools.repro_serve import MAX_BODY_BYTES, _make_handler
 
         service = LifetimeService()
         server = ThreadingHTTPServer(("127.0.0.1", 0), _make_handler(service))
@@ -524,6 +542,41 @@ class TestServeFronts:
             with pytest.raises(urllib.error.HTTPError) as excinfo:
                 urllib.request.urlopen(bad)
             assert excinfo.value.code == 400
+
+            unknown_solver = json.dumps({**self.QUERY_DOCUMENT, "method": "nope"}).encode()
+            with pytest.raises(urllib.error.HTTPError) as excinfo:
+                urllib.request.urlopen(urllib.request.Request(base + "/query", data=unknown_solver))
+            assert excinfo.value.code == 400
+
+            # The size cap is checked on the declared length, before reading.
+            for length, code in ((MAX_BODY_BYTES + 1, 413), (-1, 400), ("ten", 400)):
+                connection = http.client.HTTPConnection(*server.server_address[:2], timeout=10)
+                try:
+                    connection.putrequest("POST", "/query")
+                    connection.putheader("Content-Length", str(length))
+                    connection.endheaders()
+                    assert connection.getresponse().status == code
+                finally:
+                    connection.close()
+        finally:
+            server.shutdown()
+            server.server_close()
+            thread.join(timeout=5)
+
+        class FaultyService(LifetimeService):
+            def submit(self, query):
+                raise RuntimeError("injected server fault")
+
+        server = ThreadingHTTPServer(("127.0.0.1", 0), _make_handler(FaultyService()))
+        thread = threading.Thread(target=server.serve_forever, daemon=True)
+        thread.start()
+        base = f"http://127.0.0.1:{server.server_address[1]}"
+        try:
+            request = urllib.request.Request(base + "/query", data=body)
+            with pytest.raises(urllib.error.HTTPError) as excinfo:
+                urllib.request.urlopen(request)
+            assert excinfo.value.code == 500
+            assert "injected server fault" in json.loads(excinfo.value.read())["error"]
         finally:
             server.shutdown()
             server.server_close()

@@ -18,7 +18,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.markov.transient import expm_transient, single_pass_transient
-from repro.markov.uniformization import TransientPropagator, uniformized_transient
+from repro.markov.uniformization import TransientPropagator
 
 #: A small irreducible generator used throughout this module.
 GENERATOR = np.array(
@@ -46,22 +46,23 @@ class TestIncrementalEquivalence:
         alpha = np.zeros(generator.shape[0])
         alpha[0] = 1.0
         times = [0.0, 0.1, 0.4, 1.3, 2.9, 7.0]
-        result = uniformized_transient(generator, alpha, times)
+        result = TransientPropagator(generator).transient_batch(alpha[None], times)
         for index, time in enumerate(times):
             exact = expm_transient(generator, alpha, time)
-            assert np.allclose(result.distributions[index], exact, atol=1e-9)
+            assert np.allclose(result.values[0, index], exact, atol=1e-9)
 
     def test_unsorted_duplicate_times_keep_caller_order(self):
         alpha = np.array([1.0, 0.0, 0.0])
         times = [2.5, 0.0, 0.7, 2.5, 0.7]
-        result = uniformized_transient(GENERATOR, alpha, times)
+        result = TransientPropagator(GENERATOR).transient_batch(alpha[None], times)
         assert np.array_equal(result.times, np.asarray(times))
+        distributions = result.values[0]
         for index, time in enumerate(times):
             exact = expm_transient(GENERATOR, alpha, time)
-            assert np.allclose(result.distributions[index], exact, atol=1e-9)
+            assert np.allclose(distributions[index], exact, atol=1e-9)
         # Duplicate times share one window and produce identical rows.
-        assert np.array_equal(result.distributions[0], result.distributions[3])
-        assert np.array_equal(result.distributions[2], result.distributions[4])
+        assert np.array_equal(distributions[0], distributions[3])
+        assert np.array_equal(distributions[2], distributions[4])
 
     def test_modes_agree_with_projection_vector_and_matrix(self):
         rng = np.random.default_rng(42)
@@ -100,9 +101,9 @@ def test_incremental_matches_from_zero_propagation(times, start):
     alpha = np.zeros(3)
     alpha[start] = 1.0
     propagator = TransientPropagator(GENERATOR)
-    incremental = propagator.transient(alpha, times)
+    incremental = propagator.transient_batch(alpha[None], times)
     from_zero = single_pass_transient(propagator, alpha, times, epsilon=1e-10)
-    assert np.allclose(incremental.distributions, from_zero.values[0], atol=1e-9)
+    assert np.allclose(incremental.values, from_zero.values, atol=1e-9)
     # Both report the caller's grid verbatim.
     assert np.array_equal(incremental.times, np.asarray(times, dtype=float))
 
@@ -115,7 +116,7 @@ class TestSteadyStateDetection:
         # after a few tens of time units; the grid runs to t = 1600).
         times = np.linspace(0.0, 1600.0, 64)
         propagator = TransientPropagator(ABSORBING)
-        fast = propagator.transient(alpha, times)
+        fast = propagator.transient_batch(alpha[None], times)
         baseline = single_pass_transient(propagator, alpha, times, epsilon=1e-10)
 
         assert fast.steady_state_time is not None
@@ -125,9 +126,9 @@ class TestSteadyStateDetection:
         # The detection collapses the vast majority of the products the
         # baseline sweep has to perform.
         assert fast.iterations < baseline.iterations / 3
-        assert np.allclose(fast.distributions, baseline.values[0], atol=1e-8)
+        assert np.allclose(fast.values, baseline.values, atol=1e-8)
         # At the horizon everything is absorbed.
-        assert fast.distributions[-1, -1] == pytest.approx(1.0, abs=1e-8)
+        assert fast.values[0, -1, -1] == pytest.approx(1.0, abs=1e-8)
 
     def test_detection_agrees_with_reference(self):
         """Steady-state detection agrees with the detection-free reference."""
@@ -137,23 +138,23 @@ class TestSteadyStateDetection:
         reference = single_pass_transient(propagator, alpha, times, epsilon=1e-10)
         assert reference.steady_state_time is None
         assert reference.iterations_saved == 0
-        detected = propagator.transient(alpha, times)
+        detected = propagator.transient_batch(alpha[None], times)
         assert detected.iterations_saved > 0
-        assert np.allclose(reference.values[0], detected.distributions, atol=1e-8)
+        assert np.allclose(reference.values, detected.values, atol=1e-8)
 
     def test_fully_absorbing_chain_detects_immediately(self):
         # All rates zero: P = I, so the very first product finds the
         # distribution invariant.
         generator = np.zeros((2, 2))
-        result = uniformized_transient(generator, [0.25, 0.75], [1.0, 10.0, 100.0])
-        assert np.allclose(result.distributions, [0.25, 0.75])
+        result = TransientPropagator(generator).transient_batch([[0.25, 0.75]], [1.0, 10.0, 100.0])
+        assert np.allclose(result.values, [0.25, 0.75])
         assert result.steady_state_time == 1.0
 
     def test_truncation_error_is_cumulative_and_bounded(self):
         alpha = np.array([1.0, 0.0, 0.0])
         epsilon = 1e-8
-        result = uniformized_transient(
-            GENERATOR, alpha, np.linspace(0.5, 20.0, 40), epsilon=epsilon
+        result = TransientPropagator(GENERATOR).transient_batch(
+            alpha[None], np.linspace(0.5, 20.0, 40), epsilon=epsilon
         )
         assert np.all(result.truncation_error >= 0.0)
         assert np.all(result.truncation_error <= epsilon)

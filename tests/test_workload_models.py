@@ -51,11 +51,6 @@ class TestWorkloadModel:
         with pytest.raises(ValueError):
             simple_model.scaled_time(0.0)
 
-    def test_to_ctmc_roundtrip(self, simple_model):
-        ctmc = simple_model.to_ctmc()
-        assert ctmc.n_states == 3
-        assert np.allclose(ctmc.initial_distribution, simple_model.initial_distribution)
-
 
 class TestBuilder:
     def test_builds_hourly_rates_in_si_units(self):

@@ -19,6 +19,11 @@ Wraps :class:`repro.service.LifetimeService` (the blessed constructor is
     stats, start a fresh one;
   - ``GET  /healthz`` -- liveness probe.
 
+  A query that cannot be parsed, names an unknown solver or asks a solver
+  for a problem it does not support is answered with 400; a body over
+  :data:`MAX_BODY_BYTES` with 413; any other failure of the service with
+  500.
+
 The query document format is
 :meth:`repro.service.LifetimeQuery.from_mapping`; responses carry the
 lifetime CDF plus the schema-validated diagnostics (``served_from``,
@@ -37,9 +42,13 @@ from typing import Any, IO, Mapping
 import numpy as np
 
 from repro.api import serve
+from repro.engine.base import UnknownSolverError, UnsupportedProblemError
 from repro.service import LifetimeQuery, LifetimeService, ServiceResponse
 
 __all__ = ["build_service", "handle_payload", "main", "response_document", "run_jsonl"]
+
+#: Largest ``POST /query`` body the HTTP front reads (1 MiB).
+MAX_BODY_BYTES = 1 << 20
 
 
 def _jsonable(value: Any) -> Any:
@@ -130,12 +139,32 @@ def _make_handler(service: LifetimeService) -> type[BaseHTTPRequestHandler]:
             if self.path != "/query":
                 self._send(404, {"error": f"unknown path {self.path!r}"})
                 return
+            header = self.headers.get("Content-Length", "0")
             try:
-                length = int(self.headers.get("Content-Length", "0"))
+                length = int(header)
+            except ValueError:
+                length = -1
+            if length < 0:
+                self._send(400, {"error": f"invalid Content-Length {header!r}"})
+                return
+            if length > MAX_BODY_BYTES:
+                self._send(413, {"error": f"body of {length} bytes exceeds {MAX_BODY_BYTES}"})
+                return
+            try:
                 payload = json.loads(self.rfile.read(length).decode("utf-8"))
-                self._send(200, handle_payload(service, payload))
+                query = LifetimeQuery.from_mapping(payload)
             except Exception as exc:
                 self._send(400, {"error": f"{type(exc).__name__}: {exc}"})
+                return
+            try:
+                document = response_document(service.submit(query))
+            except (UnknownSolverError, UnsupportedProblemError) as exc:
+                self._send(400, {"error": f"{type(exc).__name__}: {exc}"})
+                return
+            except Exception as exc:
+                self._send(500, {"error": f"{type(exc).__name__}: {exc}"})
+                return
+            self._send(200, document)
 
         def log_message(self, format: str, *args: Any) -> None:  # noqa: A002
             pass  # keep the transport quiet; observability lives in repro.obs
